@@ -56,8 +56,12 @@ if not os.environ.get("REPRO_SKIP_CEXT"):
             sources=[
                 "src/repro/_core/_cext.c",
                 "src/repro/_core/_chandlers.c",
+                "src/repro/_core/_issue.c",
             ],
             depends=["src/repro/_core/_core.h"],
+            # Keep the C float arithmetic bit-identical to Python's: no
+            # contraction of multiply-adds into FMA instructions.
+            extra_compile_args=["-ffp-contract=off"],
             optional=not os.environ.get("REPRO_REQUIRE_CEXT"),
         )
     ]

@@ -269,6 +269,16 @@ def issue_available() -> bool:
     return _ext is not None and hasattr(_ext, "SequencerStep")
 
 
+def adaptation_available() -> bool:
+    """True when the loaded extension carries the compiled BASH sampling tick.
+
+    Same shape as :func:`issue_available`: an ``.so`` built before
+    ``SampleTick`` existed keeps the Python tick.  Does not attempt the
+    import itself.
+    """
+    return _ext is not None and hasattr(_ext, "SampleTick")
+
+
 def accelerator_for(scheduler):
     """The extension module when ``scheduler`` is a compiled instance.
 
@@ -293,10 +303,12 @@ def backend_info() -> Dict[str, object]:
         event_core = COMPILED
         handlers = COMPILED if handlers_available() else "unavailable"
         issue_chain = COMPILED if issue_available() else "unavailable"
+        adaptation = COMPILED if adaptation_available() else "unavailable"
     else:
         event_core = PURE
         handlers = PURE
         issue_chain = PURE
+        adaptation = PURE
     return {
         "name": _active,
         "requested": _requested,
@@ -309,6 +321,7 @@ def backend_info() -> Dict[str, object]:
             "event_core": event_core,
             "handlers": handlers,
             "issue_chain": issue_chain,
+            "adaptation": adaptation,
         },
         "handler_selections": handler_selections(),
     }

@@ -24,7 +24,7 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.2.0"
+#define CORE_VERSION "1.3.0"
 
 /* Compaction threshold; mirrors _COMPACT_MIN_CANCELLED in scheduler.py. */
 #define COMPACT_MIN_CANCELLED 64

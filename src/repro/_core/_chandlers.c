@@ -28,6 +28,8 @@
 #include <Python.h>
 #include <structmember.h>
 
+#include <math.h>
+
 #include "_core.h"
 
 /* Protocol singletons injected via _init_protocol().  MessageType and
@@ -1827,6 +1829,503 @@ static PyTypeObject DirDeliver_Type = {
     .tp_new = PyType_GenericNew,
 };
 
+/* ---------------------------------------------------------------- SampleTick
+ *
+ * Compiled BASH sampling tick: one per cache controller, scheduled in place
+ * of the bound BashCacheController._sample_utilization.  One call fuses the
+ * window's link busy-total query, BandwidthAdaptiveMechanism.observe_window
+ * (the policy-counter step plus an AdaptiveSample appended to the history),
+ * the three RunningMean.record Welford updates in the pure order, and the
+ * reschedule with the same label.
+ *
+ * State stays where the pure method keeps it: the window boundary and busy
+ * totals in the controller's __dict__, the policy counter and history in
+ * the mechanism's, and the links', counter's, means' and samples' own
+ * __slots__, read and written at the member-descriptor offsets of the exact
+ * stock types.  A link's busy_time_up_to is called only while that link is
+ * still busy, exactly when the pure method calls it, so its query memo
+ * evolves identically.  Every tick validates the state it reads before
+ * mutating any of it; an unusual shape (a non-int field, a value beyond the
+ * range where a double is exact, a replaced counter) delegates the whole
+ * tick to the stored bound Python method, which reschedules itself -- the
+ * rest of that run is pure, with the same events.
+ *
+ * Doubles: Python's int/int and float*int on integers below 2**53 are exact
+ * conversions followed by one IEEE operation, which is what the C below
+ * does; the build passes -ffp-contract=off so no multiply-add is fused into
+ * an FMA, and round() (half to even) is mirrored by nearbyint() under the
+ * default rounding mode. */
+
+#define EXACT_DOUBLE_LIMIT (1LL << 53)
+#define POLICY_MAXIMUM_LIMIT ((1LL << 62) - 1)
+#define SLOT(obj, offset) (*(PyObject **)((char *)(obj) + (offset)))
+
+static PyObject *s_window_start;
+static PyObject *s_window_busy_in;
+static PyObject *s_window_busy_out;
+static PyObject *s_policy_counter;
+static PyObject *s_history;
+static PyObject *s_busy_delta;
+static PyObject *s_idle_delta;
+static PyObject *s_append;
+
+enum { MEAN_COUNT, MEAN_TOTAL, MEAN_MEAN, MEAN_M2, MEAN_MIN, MEAN_MAX, MEAN_SLOTS };
+static const char *const MEAN_SLOT_NAMES[MEAN_SLOTS] = {
+    "_count", "_total", "_mean", "_m2", "_minimum", "_maximum"};
+
+/* AdaptiveSample's fields, in the order SampleTick_call builds them. */
+#define SAMPLE_SLOTS 5
+static const char *const SAMPLE_SLOT_NAMES[SAMPLE_SLOTS] = {
+    "time", "utilization", "utilization_counter", "policy_counter",
+    "unicast_probability"};
+
+#define TICK_LINKS 2 /* incoming, outgoing */
+#define TICK_MEANS 3 /* node link_utilization, system link_utilization,
+                        system unicast_probability -- the pure record order */
+
+typedef struct {
+    PyObject_HEAD
+    long long interval;
+    PyObject *scheduler;
+    PyObject *state;     /* controller.__dict__ */
+    PyObject *mechanism; /* controller.adaptive.__dict__ */
+    PyObject *pure_tick; /* bound _sample_utilization (delegation) */
+    PyObject *label;
+    PyObject *links[TICK_LINKS];
+    PyObject *busy_up_to[TICK_LINKS]; /* the links' bound busy_time_up_to */
+    PyObject *means[TICK_MEANS];
+    PyTypeObject *counter_type;
+    PyTypeObject *sample_type;
+    Py_ssize_t link_until, link_total;
+    Py_ssize_t counter_value, counter_maximum;
+    Py_ssize_t mean_slot[MEAN_SLOTS];
+    Py_ssize_t sample_slot[SAMPLE_SLOTS];
+} SampleTickObject;
+
+/* Offset of the writable object slot `name` of `type` (a __slots__ member
+ * descriptor, found through the MRO), or -1 with TypeError set. */
+static Py_ssize_t
+slot_offset(PyTypeObject *type, const char *name)
+{
+    PyObject *descr = PyObject_GetAttrString((PyObject *)type, name);
+    if (descr == NULL)
+        return -1;
+    Py_ssize_t offset = -1;
+    if (Py_IS_TYPE(descr, &PyMemberDescr_Type) &&
+        PyType_IsSubtype(type, PyDescr_TYPE(descr))) {
+        PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
+        if (member->type == T_OBJECT_EX && !(member->flags & READONLY))
+            offset = member->offset;
+    }
+    Py_DECREF(descr);
+    if (offset < 0)
+        PyErr_Format(PyExc_TypeError, "%s.%s is not a writable __slots__ member",
+                     type->tp_name, name);
+    return offset;
+}
+
+/* 1 and *out set when `value` is an exact int in [0, limit], else 0. */
+static int
+bounded_int(PyObject *value, long long limit, long long *out)
+{
+    if (value == NULL || !PyLong_CheckExact(value))
+        return 0;
+    int overflow;
+    long long result = PyLong_AsLongLongAndOverflow(value, &overflow);
+    if (overflow || result < 0 || result > limit)
+        return 0;
+    *out = result;
+    return 1;
+}
+
+/* The pure RunningMean.record reads plain floats and a count whose double
+ * conversion is exact, even after this tick's records (the means may
+ * alias); anything else takes the delegated tick. */
+static int
+mean_valid(SampleTickObject *self, PyObject *mean)
+{
+    long long count;
+    if (!bounded_int(SLOT(mean, self->mean_slot[MEAN_COUNT]),
+                     EXACT_DOUBLE_LIMIT - TICK_MEANS - 1, &count))
+        return 0;
+    for (int i = MEAN_TOTAL; i < MEAN_SLOTS; i++) {
+        PyObject *field = SLOT(mean, self->mean_slot[i]);
+        if (field == NULL || !PyFloat_CheckExact(field))
+            return 0;
+    }
+    return 1;
+}
+
+/* RunningMean.record(value), statement for statement; `value_obj` becomes
+ * the new extreme exactly as the pure method stores its argument. */
+static int
+mean_record(SampleTickObject *self, PyObject *mean, PyObject *value_obj)
+{
+    const Py_ssize_t *slot = self->mean_slot;
+    double value = PyFloat_AS_DOUBLE(value_obj);
+    long long count = PyLong_AsLongLong(SLOT(mean, slot[MEAN_COUNT])) + 1;
+    double total = PyFloat_AS_DOUBLE(SLOT(mean, slot[MEAN_TOTAL])) + value;
+    double old_mean = PyFloat_AS_DOUBLE(SLOT(mean, slot[MEAN_MEAN]));
+    double delta = value - old_mean;
+    double new_mean = old_mean + delta / (double)count;
+    double m2 = PyFloat_AS_DOUBLE(SLOT(mean, slot[MEAN_M2])) +
+                delta * (value - new_mean);
+    /* In slot order MEAN_COUNT .. MEAN_M2. */
+    PyObject *fields[4] = {PyLong_FromLongLong(count), PyFloat_FromDouble(total),
+                           PyFloat_FromDouble(new_mean), PyFloat_FromDouble(m2)};
+    if (fields[0] == NULL || fields[1] == NULL || fields[2] == NULL ||
+        fields[3] == NULL) {
+        for (int i = 0; i < 4; i++)
+            Py_XDECREF(fields[i]);
+        return -1;
+    }
+    for (int i = 0; i < 4; i++)
+        Py_SETREF(SLOT(mean, slot[MEAN_COUNT + i]), fields[i]);
+    if (value < PyFloat_AS_DOUBLE(SLOT(mean, slot[MEAN_MIN])))
+        Py_SETREF(SLOT(mean, slot[MEAN_MIN]), Py_NewRef(value_obj));
+    if (value > PyFloat_AS_DOUBLE(SLOT(mean, slot[MEAN_MAX])))
+        Py_SETREF(SLOT(mean, slot[MEAN_MAX]), Py_NewRef(value_obj));
+    return 0;
+}
+
+static int
+SampleTick_init(SampleTickObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *scheduler, *state, *mechanism, *pure_tick, *label;
+    PyObject *links, *busy_up_to, *means;
+    PyTypeObject *counter_type, *sample_type;
+    long long interval;
+    static char *kwlist[] = {"scheduler",    "state",      "mechanism",
+                             "pure_tick",    "label",      "interval",
+                             "links",        "busy_up_to", "means",
+                             "counter_type", "sample_type", NULL};
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "OO!O!OOLO!O!O!O!O!", kwlist, &scheduler, &PyDict_Type,
+            &state, &PyDict_Type, &mechanism, &pure_tick, &label, &interval,
+            &PyTuple_Type, &links, &PyTuple_Type, &busy_up_to, &PyTuple_Type,
+            &means, &PyType_Type, &counter_type, &PyType_Type, &sample_type))
+        return -1;
+    if (!core_scheduler_check(scheduler)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "SampleTick requires a compiled SchedulerBase");
+        return -1;
+    }
+    if (interval <= 0) {
+        PyErr_SetString(PyExc_ValueError, "interval must be positive");
+        return -1;
+    }
+    if (PyTuple_GET_SIZE(links) != TICK_LINKS ||
+        PyTuple_GET_SIZE(busy_up_to) != TICK_LINKS ||
+        PyTuple_GET_SIZE(means) != TICK_MEANS) {
+        PyErr_SetString(PyExc_TypeError,
+                        "links and busy_up_to take 2 entries, means 3");
+        return -1;
+    }
+    PyTypeObject *link_type = Py_TYPE(PyTuple_GET_ITEM(links, 0));
+    PyTypeObject *mean_type = Py_TYPE(PyTuple_GET_ITEM(means, 0));
+    for (int i = 1; i < TICK_LINKS; i++)
+        if (!Py_IS_TYPE(PyTuple_GET_ITEM(links, i), link_type))
+            goto mixed;
+    for (int i = 1; i < TICK_MEANS; i++)
+        if (!Py_IS_TYPE(PyTuple_GET_ITEM(means, i), mean_type))
+            goto mixed;
+    /* Samples are built as object.__new__ plus slot stores: the dataclass
+     * __init__ only assigns the five fields. */
+    if (sample_type->tp_new != PyBaseObject_Type.tp_new ||
+        sample_type->tp_itemsize != 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "sample_type must be a plain __slots__ class");
+        return -1;
+    }
+    if ((self->link_until = slot_offset(link_type, "_busy_until")) < 0 ||
+        (self->link_total = slot_offset(link_type, "_busy_total")) < 0 ||
+        (self->counter_value = slot_offset(counter_type, "_value")) < 0 ||
+        (self->counter_maximum = slot_offset(counter_type, "_maximum")) < 0)
+        return -1;
+    for (int i = 0; i < MEAN_SLOTS; i++)
+        if ((self->mean_slot[i] = slot_offset(mean_type, MEAN_SLOT_NAMES[i])) < 0)
+            return -1;
+    for (int i = 0; i < SAMPLE_SLOTS; i++)
+        if ((self->sample_slot[i] =
+                 slot_offset(sample_type, SAMPLE_SLOT_NAMES[i])) < 0)
+            return -1;
+    self->interval = interval;
+#define STORE(field, value)                                                    \
+    do {                                                                       \
+        Py_INCREF(value);                                                      \
+        Py_XSETREF(self->field, (void *)(value));                              \
+    } while (0)
+    STORE(scheduler, scheduler);
+    STORE(state, state);
+    STORE(mechanism, mechanism);
+    STORE(pure_tick, pure_tick);
+    STORE(label, label);
+    STORE(counter_type, counter_type);
+    STORE(sample_type, sample_type);
+    for (int i = 0; i < TICK_LINKS; i++) {
+        STORE(links[i], PyTuple_GET_ITEM(links, i));
+        STORE(busy_up_to[i], PyTuple_GET_ITEM(busy_up_to, i));
+    }
+    for (int i = 0; i < TICK_MEANS; i++)
+        STORE(means[i], PyTuple_GET_ITEM(means, i));
+#undef STORE
+    return 0;
+mixed:
+    PyErr_SetString(PyExc_TypeError,
+                    "the links, and the means, must share one exact type");
+    return -1;
+}
+
+static int
+SampleTick_traverse(SampleTickObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->scheduler);
+    Py_VISIT(self->state);
+    Py_VISIT(self->mechanism);
+    Py_VISIT(self->pure_tick);
+    Py_VISIT(self->label);
+    Py_VISIT(self->counter_type);
+    Py_VISIT(self->sample_type);
+    for (int i = 0; i < TICK_LINKS; i++) {
+        Py_VISIT(self->links[i]);
+        Py_VISIT(self->busy_up_to[i]);
+    }
+    for (int i = 0; i < TICK_MEANS; i++)
+        Py_VISIT(self->means[i]);
+    return 0;
+}
+
+static int
+SampleTick_clear(SampleTickObject *self)
+{
+    Py_CLEAR(self->scheduler);
+    Py_CLEAR(self->state);
+    Py_CLEAR(self->mechanism);
+    Py_CLEAR(self->pure_tick);
+    Py_CLEAR(self->label);
+    Py_CLEAR(self->counter_type);
+    Py_CLEAR(self->sample_type);
+    for (int i = 0; i < TICK_LINKS; i++) {
+        Py_CLEAR(self->links[i]);
+        Py_CLEAR(self->busy_up_to[i]);
+    }
+    for (int i = 0; i < TICK_MEANS; i++)
+        Py_CLEAR(self->means[i]);
+    return 0;
+}
+
+static void
+SampleTick_dealloc(SampleTickObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    SampleTick_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* observe_window's AdaptiveSample: object.__new__ plus the five slot
+ * stores (each reference stolen; NULL entries mean an earlier failure). */
+static PyObject *
+new_sample(SampleTickObject *self, PyObject *fields[SAMPLE_SLOTS])
+{
+    PyObject *sample = NULL;
+    int complete = 1;
+    for (int i = 0; i < SAMPLE_SLOTS; i++)
+        complete &= fields[i] != NULL;
+    if (complete)
+        sample = self->sample_type->tp_alloc(self->sample_type, 0);
+    for (int i = 0; i < SAMPLE_SLOTS; i++) {
+        if (sample != NULL)
+            SLOT(sample, self->sample_slot[i]) = fields[i];
+        else
+            Py_XDECREF(fields[i]);
+    }
+    return sample;
+}
+
+static PyObject *
+SampleTick_call(SampleTickObject *self, PyObject *args, PyObject *kwds)
+{
+    if (PyTuple_GET_SIZE(args) != 0 ||
+        (kwds != NULL && PyDict_GET_SIZE(kwds) != 0)) {
+        PyErr_SetString(PyExc_TypeError, "SampleTick takes no arguments");
+        return NULL;
+    }
+    long long now = core_scheduler_now(self->scheduler);
+    PyObject *result = NULL, *counter = NULL, *history = NULL;
+    PyObject *now_obj = NULL, *utilization_obj = NULL, *probability = NULL;
+    PyObject *busy_now[TICK_LINKS] = {NULL, NULL};
+
+    /* Validate everything the tick reads before mutating any of it. */
+    long long window_start, previous[TICK_LINKS];
+    long long busy_delta, idle_delta, policy, maximum;
+    long long until[TICK_LINKS], totals[TICK_LINKS];
+    if (!bounded_int(PyDict_GetItemWithError(self->state, s_window_start), now,
+                     &window_start) ||
+        !bounded_int(PyDict_GetItemWithError(self->state, s_window_busy_in),
+                     LLONG_MAX, &previous[0]) ||
+        !bounded_int(PyDict_GetItemWithError(self->state, s_window_busy_out),
+                     LLONG_MAX, &previous[1]) ||
+        !bounded_int(PyDict_GetItemWithError(self->mechanism, s_busy_delta),
+                     LLONG_MAX, &busy_delta) ||
+        !bounded_int(PyDict_GetItemWithError(self->mechanism, s_idle_delta),
+                     LLONG_MAX, &idle_delta))
+        goto delegate;
+    long long span = now - window_start;
+    long long widest = busy_delta > idle_delta ? busy_delta : idle_delta;
+    /* span converts to a double exactly, and |busy*(q-p) - idle*p| <=
+     * span*widest fits a long long. */
+    if (span > EXACT_DOUBLE_LIMIT ||
+        (span > 0 && widest > (LLONG_MAX / 2) / span))
+        goto delegate;
+    counter = PyDict_GetItemWithError(self->mechanism, s_policy_counter);
+    history = PyDict_GetItemWithError(self->mechanism, s_history);
+    if (counter == NULL || history == NULL ||
+        !Py_IS_TYPE(counter, self->counter_type) ||
+        !bounded_int(SLOT(counter, self->counter_maximum),
+                     POLICY_MAXIMUM_LIMIT, &maximum) ||
+        maximum == 0 ||
+        !bounded_int(SLOT(counter, self->counter_value), maximum, &policy))
+        goto delegate;
+    for (int i = 0; i < TICK_LINKS; i++)
+        if (!bounded_int(SLOT(self->links[i], self->link_until), LLONG_MAX,
+                         &until[i]) ||
+            !bounded_int(SLOT(self->links[i], self->link_total), LLONG_MAX,
+                         &totals[i]))
+            goto delegate;
+    for (int i = 0; i < TICK_MEANS; i++)
+        if (!mean_valid(self, self->means[i]))
+            goto delegate;
+    /* Held across the link queries, which run Python code. */
+    Py_INCREF(counter);
+    Py_INCREF(history);
+
+    /* LinkPair.utilization over [window_start, now), inlined.  The query
+     * is idempotent, so delegating after it is still exact. */
+    now_obj = PyLong_FromLongLong(now);
+    if (now_obj == NULL)
+        goto done;
+    long long busy[TICK_LINKS];
+    for (int i = 0; i < TICK_LINKS; i++) {
+        long long total = totals[i];
+        if (now >= until[i])
+            busy_now[i] = Py_NewRef(SLOT(self->links[i], self->link_total));
+        else {
+            busy_now[i] = PyObject_CallOneArg(self->busy_up_to[i], now_obj);
+            if (busy_now[i] == NULL)
+                goto done;
+            if (!bounded_int(busy_now[i], LLONG_MAX, &total))
+                goto release_and_delegate;
+        }
+        busy[i] = total - previous[i];
+        if (busy[i] < 0)
+            goto release_and_delegate;
+    }
+    long long bottleneck = busy[0] > busy[1] ? busy[0] : busy[1];
+    if (bottleneck >= EXACT_DOUBLE_LIMIT)
+        goto release_and_delegate;
+    if (PyDict_SetItem(self->state, s_window_busy_in, busy_now[0]) < 0 ||
+        PyDict_SetItem(self->state, s_window_busy_out, busy_now[1]) < 0)
+        goto done;
+    double utilization = 0.0;
+    if (span > 0) {
+        utilization = (double)bottleneck / (double)span;
+        if (utilization > 1.0)
+            utilization = 1.0;
+    }
+    long long busy_cycles = (long long)nearbyint(utilization * (double)span);
+    long long value =
+        busy_cycles * busy_delta - (span - busy_cycles) * idle_delta;
+
+    /* observe_window: the policy-counter step and the appended sample. */
+    long long stepped = policy;
+    if (value > 0 && policy < maximum)
+        stepped = policy + 1;
+    else if (value < 0 && policy > 0)
+        stepped = policy - 1;
+    if (stepped != policy) {
+        PyObject *boxed = PyLong_FromLongLong(stepped);
+        if (boxed == NULL)
+            goto done;
+        Py_SETREF(SLOT(counter, self->counter_value), boxed);
+    }
+    PyObject *policy_obj = SLOT(counter, self->counter_value);
+    probability = maximum < EXACT_DOUBLE_LIMIT
+                      ? PyFloat_FromDouble((double)stepped / (double)maximum)
+                      : PyNumber_TrueDivide(
+                            policy_obj, SLOT(counter, self->counter_maximum));
+    utilization_obj = PyFloat_FromDouble(utilization);
+    if (probability == NULL || utilization_obj == NULL)
+        goto done;
+    PyObject *fields[SAMPLE_SLOTS] = {
+        Py_NewRef(now_obj), Py_NewRef(utilization_obj),
+        PyLong_FromLongLong(value), Py_NewRef(policy_obj),
+        Py_NewRef(probability)};
+    PyObject *sample = new_sample(self, fields);
+    if (sample == NULL)
+        goto done;
+    int rc;
+    if (PyList_CheckExact(history))
+        rc = PyList_Append(history, sample);
+    else {
+        PyObject *appended = PyObject_CallMethodOneArg(history, s_append, sample);
+        rc = appended == NULL ? -1 : 0;
+        Py_XDECREF(appended);
+    }
+    Py_DECREF(sample);
+    if (rc < 0)
+        goto done;
+
+    /* The three Welford updates, in the pure order; then the next tick. */
+    if (mean_record(self, self->means[0], utilization_obj) < 0 ||
+        mean_record(self, self->means[1], utilization_obj) < 0 ||
+        mean_record(self, self->means[2], probability) < 0 ||
+        PyDict_SetItem(self->state, s_window_start, now_obj) < 0 ||
+        core_push_fast(self->scheduler, now + self->interval,
+                       (PyObject *)self, self->label, NULL) < 0)
+        goto done;
+    result = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(busy_now[0]);
+    Py_XDECREF(busy_now[1]);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(utilization_obj);
+    Py_XDECREF(probability);
+    Py_DECREF(counter);
+    Py_DECREF(history);
+    return result;
+release_and_delegate:
+    Py_XDECREF(busy_now[0]);
+    Py_XDECREF(busy_now[1]);
+    Py_DECREF(now_obj);
+    Py_DECREF(counter);
+    Py_DECREF(history);
+delegate:
+    if (PyErr_Occurred())
+        return NULL;
+    return PyObject_CallNoArgs(self->pure_tick);
+}
+
+static PyMemberDef SampleTick_members[] = {
+    {"interval", T_LONGLONG, offsetof(SampleTickObject, interval), READONLY,
+     "Cycles between ticks (the adaptive sampling interval)."},
+    {NULL}};
+
+static PyTypeObject SampleTick_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._core._cext.SampleTick",
+    .tp_basicsize = sizeof(SampleTickObject),
+    .tp_dealloc = (destructor)SampleTick_dealloc,
+    .tp_call = (ternaryfunc)SampleTick_call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Compiled BASH utilization-sampling tick (one per controller).",
+    .tp_traverse = (traverseproc)SampleTick_traverse,
+    .tp_clear = (inquiry)SampleTick_clear,
+    .tp_members = SampleTick_members,
+    .tp_init = (initproc)SampleTick_init,
+    .tp_new = PyType_GenericNew,
+};
+
+
 /* ------------------------------------------------------------- module glue */
 
 /* _init_protocol(GETS, GETM, MODIFIED, OWNED, SHARED, INVALID,
@@ -1868,7 +2367,8 @@ chandlers_add_types(PyObject *module)
     if (PyType_Ready(&DataDeliver_Type) < 0 ||
         PyType_Ready(&SnoopDeliver_Type) < 0 ||
         PyType_Ready(&PutDeliver_Type) < 0 ||
-        PyType_Ready(&DirDeliver_Type) < 0)
+        PyType_Ready(&DirDeliver_Type) < 0 ||
+        PyType_Ready(&SampleTick_Type) < 0)
         return -1;
 
 #define INTERN(var, text)                                                      \
@@ -1912,6 +2412,14 @@ chandlers_add_types(PyObject *module)
     INTERN(s_completion_time, "completion_time");
     INTERN(s_issue_time, "issue_time");
     INTERN(s_now, "now");
+    INTERN(s_window_start, "_window_start");
+    INTERN(s_window_busy_in, "_window_busy_in");
+    INTERN(s_window_busy_out, "_window_busy_out");
+    INTERN(s_policy_counter, "policy_counter");
+    INTERN(s_history, "history");
+    INTERN(s_busy_delta, "_busy_delta");
+    INTERN(s_idle_delta, "_idle_delta");
+    INTERN(s_append, "append");
 #undef INTERN
     ll_one = PyLong_FromLong(1);
     if (ll_one == NULL)
@@ -1924,7 +2432,9 @@ chandlers_add_types(PyObject *module)
         PyModule_AddObjectRef(module, "PutDeliver",
                               (PyObject *)&PutDeliver_Type) < 0 ||
         PyModule_AddObjectRef(module, "DirDeliver",
-                              (PyObject *)&DirDeliver_Type) < 0)
+                              (PyObject *)&DirDeliver_Type) < 0 ||
+        PyModule_AddObjectRef(module, "SampleTick",
+                              (PyObject *)&SampleTick_Type) < 0)
         return -1;
     if (PyModule_AddFunctions(module, chandlers_methods) < 0)
         return -1;

@@ -11,8 +11,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-/* Register SnoopDeliver/PutDeliver/DirDeliver and _init_protocol on the
- * extension module.  Returns 0 on success, -1 with an exception set. */
+/* Register SnoopDeliver/PutDeliver/DirDeliver/SampleTick and _init_protocol
+ * on the extension module.  Returns 0 on success, -1 with an exception set. */
 int chandlers_add_types(PyObject *module);
 
 /* Register SequencerStep/MemServe and _init_issue on the extension

@@ -31,6 +31,10 @@ HERE = Path(__file__).resolve().parent
 # it triggers a rebuild too.
 SOURCES = (HERE / "_cext.c", HERE / "_chandlers.c", HERE / "_issue.c")
 HEADERS = (HERE / "_core.h",)
+# The compiled BASH sampling tick mirrors Python's float arithmetic bit for
+# bit; a fused multiply-add (gcc contracts by default on FMA targets such as
+# aarch64) would round once where Python rounds twice.
+FLOAT_FLAGS = ("-ffp-contract=off",)
 
 
 def extension_path() -> Path:
@@ -70,6 +74,7 @@ def build_command(cc: str, output: Path) -> list:
         cc,
         "-O2",
         "-fno-semantic-interposition",
+        *FLOAT_FLAGS,
         "-fPIC",
         "-shared",
         f"-I{include}",

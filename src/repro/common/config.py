@@ -9,6 +9,7 @@ Experiment drivers construct these and hand them to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -148,6 +149,10 @@ class SystemConfig:
             raise ConfigurationError(
                 f"need at least 2 processors, got {self.num_processors}"
             )
+        for name in ("bandwidth_mb_per_second", "broadcast_cost_factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.bandwidth_mb_per_second <= 0:
             raise ConfigurationError(
                 "bandwidth_mb_per_second must be positive, got "

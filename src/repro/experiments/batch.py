@@ -37,7 +37,11 @@ def spec_batch_key(spec: "PointSpec") -> BatchKey:
     """The (protocol, processor count) family a sweep point belongs to."""
     return (
         ProtocolName(spec.protocol),
-        spec.num_processors or spec.scale.microbenchmark_processors,
+        (
+            spec.scale.microbenchmark_processors
+            if spec.num_processors is None
+            else spec.num_processors
+        ),
     )
 
 

@@ -117,7 +117,11 @@ def microbenchmark_config(
 ) -> SystemConfig:
     """System configuration for a microbenchmark run at one sweep point."""
     return SystemConfig(
-        num_processors=num_processors or scale.microbenchmark_processors,
+        num_processors=(
+            scale.microbenchmark_processors
+            if num_processors is None
+            else num_processors
+        ),
         protocol=protocol,
         bandwidth_mb_per_second=bandwidth,
         broadcast_cost_factor=broadcast_cost_factor,

@@ -22,11 +22,13 @@ from typing import Optional
 
 from ...coherence.block import CacheBlock
 from ...coherence.transaction import Transaction
+from ...common.stats import RunningMean
 from ...errors import ProtocolError
+from ...interconnect.link import EndpointLink
 from ...interconnect.message import Message, MessageType
-from ..dispatch import pristine_snapshot
+from ..dispatch import compile_sample_tick, pristine_snapshot
 from ..snooping.cache_controller import SnoopingCacheController
-from .adaptive import BandwidthAdaptiveMechanism
+from .adaptive import AdaptiveSample, BandwidthAdaptiveMechanism
 
 
 class BashCacheController(SnoopingCacheController):
@@ -98,8 +100,16 @@ class BashCacheController(SnoopingCacheController):
     # ----------------------------------------------------------- adaptation
 
     def _schedule_sampling(self) -> None:
+        """Arm the first tick of a run.
+
+        The tick is a compiled ``SampleTick`` when one is selected (it then
+        reschedules itself), else :meth:`_sample_utilization`.  Selection
+        runs on every arm because ``adaptive.reset()`` replaces the counters
+        and history a compiled tick binds, and the interval may change.
+        """
+        self._sample_entry = compile_sample_tick(self) or self._sample_utilization
         self._schedule_after_fast(
-            self._sampling_interval, self._sample_utilization, self._sampling_label
+            self._sampling_interval, self._sample_entry, self._sampling_label
         )
 
     def _sample_utilization(self) -> None:
@@ -109,7 +119,10 @@ class BashCacheController(SnoopingCacheController):
         with every handle prebound and the mechanism update fused
         (:meth:`BandwidthAdaptiveMechanism.observe_window`): low-bandwidth
         sweep points take tens of thousands of samples per run, making this
-        the dominant BASH-specific cost.
+        the dominant BASH-specific cost.  Under the compiled backend a C
+        ``SampleTick`` runs the tick instead (see :meth:`_schedule_sampling`);
+        this method stays its specification and takes over any tick the C
+        object delegates.
         """
         now = self.scheduler.now
         window_start = self._window_start
@@ -250,4 +263,17 @@ INLINED_PRISTINE = pristine_snapshot(
 DATA_INLINED_PRISTINE = pristine_snapshot(
     BashCacheController,
     ("_handle_data", "_finish_getm", "_finish_gets", "_service_deferred", "_complete"),
+)
+
+#: The sampling tick the compiled ``SampleTick`` fuses into one C call (see
+#: ``compile_sample_tick`` in ``repro.protocols.dispatch``): a class-level
+#: patch to any of these keeps the Python tick.
+SAMPLE_PRISTINE = (
+    pristine_snapshot(
+        BashCacheController, ("_sample_utilization", "_schedule_sampling")
+    )
+    + pristine_snapshot(BandwidthAdaptiveMechanism, ("observe_window",))
+    + pristine_snapshot(AdaptiveSample, ("__init__",))
+    + pristine_snapshot(RunningMean, ("record",))
+    + pristine_snapshot(EndpointLink, ("busy_time_up_to",))
 )

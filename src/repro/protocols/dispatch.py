@@ -458,3 +458,107 @@ def compile_sequencer_step(sequencer):
     )
     note_issue_selection(sequencer, "compiled")
     return step
+
+
+# ---------------------------------------------------------- adaptive sampling
+
+#: Widest policy counter the compiled tick steps in a C 64-bit integer;
+#: wider counters keep the Python tick and its big-int arithmetic.
+MAX_COMPILED_POLICY_BITS = 62
+
+#: Controller methods whose presence in an *instance* dict keeps the pure
+#: tick (same rule as :data:`_SEQUENCER_LOCAL_HOOKS`).
+_SAMPLE_LOCAL_HOOKS = ("_sample_utilization", "_schedule_sampling")
+
+
+def note_sample_selection(status: str) -> None:
+    """Record one controller's sampling-tick compile/decline decision."""
+    from .. import _core  # noqa: PLC0415
+
+    _core.note_handler_selection("BashCacheController.SAMPLE", status)
+
+
+def compile_sample_tick(controller):
+    """A C ``SampleTick`` replacing one BASH controller's sampling tick, or None.
+
+    The returned object is scheduled in place of the bound
+    ``_sample_utilization`` and reschedules itself: the window's link
+    busy-total query, ``observe_window`` (policy-counter step and the
+    appended ``AdaptiveSample``), the three ``RunningMean.record`` updates
+    and the reschedule all run in one C call, reading and writing the same
+    attributes and slots the pure method does.  Selection follows the
+    compiled-handler contract: exact stock classes with pristine methods
+    only (``SAMPLE_PRISTINE``), no instance-level patches, and a policy
+    counter of at most :data:`MAX_COMPILED_POLICY_BITS` bits; anything else
+    keeps the Python tick, recorded via :func:`note_sample_selection`.
+
+    Called by ``_schedule_sampling`` at construction and on every
+    ``reset_state``, because ``adaptive.reset()`` replaces the counters and
+    history the tick binds.
+    """
+    from .. import _core  # noqa: PLC0415 - layer order: dispatch sits above
+
+    scheduler = controller.scheduler
+    ext = _core.accelerator_for(scheduler)
+    if ext is None or not hasattr(ext, "SampleTick"):
+        return None
+    from ..common.counters import UnsignedSaturatingCounter  # noqa: PLC0415
+    from ..common.stats import RunningMean  # noqa: PLC0415
+    from .bash.adaptive import (  # noqa: PLC0415
+        AdaptiveSample,
+        BandwidthAdaptiveMechanism,
+    )
+    from .bash.cache_controller import (  # noqa: PLC0415
+        SAMPLE_PRISTINE,
+        BashCacheController,
+    )
+
+    def decline():
+        note_sample_selection("declined")
+        return None
+
+    adaptive = controller.adaptive
+    links = (controller._link_pair.incoming, controller._link_pair.outgoing)
+    means = (
+        controller._mean_link_utilization,
+        controller._sys_link_utilization,
+        controller._sys_unicast_probability,
+    )
+    interval = controller._sampling_interval
+    if (
+        type(controller) is not BashCacheController
+        or type(adaptive) is not BandwidthAdaptiveMechanism
+        or type(adaptive.policy_counter) is not UnsignedSaturatingCounter
+        or any(type(mean) is not RunningMean for mean in means)
+        or any(type(link) is not EndpointLink for link in links)
+        or not is_pristine(SAMPLE_PRISTINE)
+        or adaptive.policy_counter.bits > MAX_COMPILED_POLICY_BITS
+        or type(interval) is not int
+        or not 0 < interval <= 2**53
+    ):
+        return decline()
+    # Hand-patched instances, or prebinds re-pointed away from the objects
+    # the C tick reads, leave the pure tick as the only faithful shape.
+    state = vars(controller)
+    if (
+        any(name in state for name in _SAMPLE_LOCAL_HOOKS)
+        or "observe_window" in vars(adaptive)
+        or controller._observe_window != adaptive.observe_window
+        or controller._schedule_after_fast != scheduler.schedule_after_fast
+    ):
+        return decline()
+    tick = ext.SampleTick(
+        scheduler=scheduler,
+        state=state,
+        mechanism=vars(adaptive),
+        pure_tick=controller._sample_utilization,
+        label=controller._sampling_label,
+        interval=interval,
+        links=links,
+        busy_up_to=tuple(link.busy_time_up_to for link in links),
+        means=means,
+        counter_type=UnsignedSaturatingCounter,
+        sample_type=AdaptiveSample,
+    )
+    note_sample_selection("compiled")
+    return tick

@@ -99,3 +99,18 @@ class TestSystemConfig:
             SystemConfig(broadcast_cost_factor=0.5)
         with pytest.raises(ConfigurationError):
             SystemConfig(cache_capacity_blocks=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bandwidth_mb_per_second", float("nan")),
+            ("bandwidth_mb_per_second", float("inf")),
+            ("broadcast_cost_factor", float("nan")),
+            ("broadcast_cost_factor", float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_values_at_construction(self, field, value):
+        """Regression: these used to pass validation and then fail deep
+        inside system construction (``cannot convert float NaN to integer``)."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            SystemConfig(**{field: value})

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.config import ProtocolName
+from repro.errors import ConfigurationError
 from repro.experiments import (
     PROTOCOLS,
     QUICK,
@@ -19,6 +20,7 @@ from repro.experiments import (
     table1_complexity,
 )
 from repro.experiments.runner import (
+    microbenchmark_config,
     microbenchmark_factory,
     normalize_to,
     protocol_sweep,
@@ -29,6 +31,15 @@ from .conftest import TINY
 
 
 class TestRunner:
+    def test_microbenchmark_config_defaults_processors_to_the_scale(self):
+        config = microbenchmark_config(TINY, ProtocolName.BASH, 1600)
+        assert config.num_processors == TINY.microbenchmark_processors
+
+    def test_microbenchmark_config_rejects_zero_processors(self):
+        """Regression: ``num_processors=0`` silently ran the scale default."""
+        with pytest.raises(ConfigurationError, match="at least 2 processors"):
+            microbenchmark_config(TINY, ProtocolName.BASH, 1600, num_processors=0)
+
     def test_run_point_returns_all_metrics(self):
         point = run_point(TINY, ProtocolName.SNOOPING, 1600, microbenchmark_factory(TINY))
         assert point.performance > 0

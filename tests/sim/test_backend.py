@@ -118,17 +118,24 @@ class TestBackendInfo:
         }
         assert info["name"] in ("pure", "compiled")
         assert info["env_var"] == "REPRO_BACKEND"
-        assert set(info["components"]) == {"event_core", "handlers", "issue_chain"}
+        assert set(info["components"]) == {
+            "event_core",
+            "handlers",
+            "issue_chain",
+            "adaptation",
+        }
         if info["name"] == "pure":
             assert info["components"] == {
                 "event_core": "pure",
                 "handlers": "pure",
                 "issue_chain": "pure",
+                "adaptation": "pure",
             }
         else:
             assert info["components"]["event_core"] == "compiled"
             assert info["components"]["handlers"] in ("compiled", "unavailable")
             assert info["components"]["issue_chain"] in ("compiled", "unavailable")
+            assert info["components"]["adaptation"] in ("compiled", "unavailable")
         assert all(
             status in ("compiled", "declined")
             for status in info["handler_selections"].values()
