@@ -464,10 +464,10 @@ def _best_wall(fn, repeats: int) -> float:
 def _ab_sweep(specs, repeats: int) -> Dict:
     """Interleaved batched-vs-rebuild A/B over one spec list, best-of-repeats.
 
-    ``cache_dir=False`` disables the on-disk cache *including* the
-    $REPRO_SWEEP_CACHE default — a timed arm that loads cached points would
-    measure JSON reads, and the rebuild arm would replay what the batched arm
-    just stored.  The interleaving (A/B/A/B...) keeps a load spike from being
+    The batched arm is ``run_sweep``; the rebuild arm is ``PointSpec.run``
+    per point.  ``cache_dir=False`` disables the on-disk cache *including*
+    the $REPRO_SWEEP_CACHE default — a timed arm that loads cached points
+    would measure JSON reads.  The interleaving (A/B/A/B...) keeps a load spike from being
     attributed to one arm.
     """
     from repro.experiments.parallel import run_sweep
@@ -479,7 +479,8 @@ def _ab_sweep(specs, repeats: int) -> Dict:
         run_sweep(specs, workers=1, cache_dir=False)
         batched = min(batched, time.perf_counter() - start)
         start = time.perf_counter()
-        run_sweep(specs, workers=1, cache_dir=False, batch=False)
+        for spec in specs:
+            spec.run()
         rebuild = min(rebuild, time.perf_counter() - start)
     batched = round(batched, 3)
     rebuild = round(rebuild, 3)
@@ -714,7 +715,7 @@ def run_smoke_sweep() -> Dict:
     start = time.perf_counter()
     batched = run_sweep(specs, workers=1, cache_dir=False)
     batched_wall = round(time.perf_counter() - start, 3)
-    rebuilt = run_sweep(specs, workers=1, cache_dir=False, batch=False)
+    rebuilt = [spec.run() for spec in specs]
     for index, (a, b) in enumerate(zip(batched, rebuilt)):
         if a.results != b.results:
             raise SystemExit(f"smoke sweep: batched point {index} diverged")

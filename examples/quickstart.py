@@ -33,13 +33,13 @@ protocol, bandwidth, workload, adaptive parameters), so a changed experiment
 never reuses stale results; completed points are written atomically (temp
 file + rename), so an interrupted run never leaves a corrupt cache entry.
 
-Sweeps are *batched* by default: points sharing a (protocol, processor
-count) run on one constructed system that is ``reset()`` between points —
-with pooled hot objects and the cyclic GC parked — instead of rebuilding
-nodes, dispatch tables and networks per point.  A reset system is
-contractually identical to a fresh one (bit-identical event traces), and
-``run_sweep(..., batch=False)`` forces the rebuild-per-point path if you want
-to verify that on your own configuration.
+Sweeps are *batched*: points sharing a (protocol, processor count) run on
+one constructed system that is ``reset()`` between points — with pooled hot
+objects and the cyclic GC parked — instead of rebuilding nodes, dispatch
+tables and networks per point.  A reset system is contractually identical to
+a fresh one (bit-identical event traces); ``PointSpec.run()`` is the
+rebuild-per-point reference if you want to verify that on your own
+configuration.
 
 Running the figures without Python: the scenario engine
 -------------------------------------------------------

@@ -87,6 +87,19 @@ def _parse_seed_range(text: Optional[str]):
         ) from None
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _parse_axis_value(text: str):
     """Parse one axis value: int, then float, then bare string (protocol names)."""
     for cast in (int, float):
@@ -138,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"experiment scale ({', '.join(sorted(SCALES))}; default: quick)",
     )
     run_parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_worker_count, default=None, metavar="N",
         help="fan sweep points across N worker processes (0 = auto)",
     )
     run_parser.add_argument(
@@ -179,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override the campaign's seeds with range(A, B)",
     )
     verify_parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_worker_count, default=None, metavar="N",
         help="fan verification tasks across N worker processes (0 = auto)",
     )
     verify_parser.add_argument(
@@ -225,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"experiment scale ({', '.join(sorted(SCALES))}; default: quick)",
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_worker_count, default=None, metavar="N",
         help="spawn N pull-worker processes (0/unset = drain inline; "
         "external `python -m repro worker` pullers also count)",
     )

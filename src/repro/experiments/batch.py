@@ -51,11 +51,11 @@ class BatchRunner:
     One instance owns one arena and at most one live system per batch key;
     it is cheap to create and safe to discard (dropping it releases the
     systems and free lists).  Not thread-safe — each process-pool worker owns
-    its own runner (see ``repro.experiments.parallel``).
+    its own runner (see ``repro.experiments.executor``).
     """
 
-    def __init__(self, use_arena: bool = True) -> None:
-        self.arena: Optional[SimulationArena] = SimulationArena() if use_arena else None
+    def __init__(self) -> None:
+        self.arena = SimulationArena()
         self._systems: Dict[BatchKey, MultiprocessorSystem] = {}
         self.runs_completed = 0
         self.systems_built = 0
@@ -104,19 +104,6 @@ class BatchRunner:
         ]
         x = spec.bandwidth if spec.x_value is None else spec.x_value
         return aggregate_point(spec.protocol, x, results)
-
-    def run_specs(self, specs) -> List[SweepPoint]:
-        """Execute several specs in order on this runner's pooled systems.
-
-        The arena's GC guard is held across the whole batch — the per-run
-        guards inside ``MultiprocessorSystem.run`` are reentrant no-ops then —
-        so the collector stays out of resets and result aggregation too, not
-        just the event loops.
-        """
-        if self.arena is None:
-            return [self.run_spec(spec) for spec in specs]
-        with self.arena.runtime():
-            return [self.run_spec(spec) for spec in specs]
 
     # ------------------------------------------------------------- lifecycle
 

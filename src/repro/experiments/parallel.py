@@ -1,9 +1,8 @@
-"""Batched parallel sweep executor with an on-disk result cache.
+"""Parallel sweep front end with an on-disk result cache.
 
 Every figure in the paper's evaluation is an embarrassingly parallel sweep of
 independent ``simulate()`` runs — (protocol, x-value, seed) points that share
-nothing *semantically* but share almost everything *structurally*.  This
-module fans those points across a process pool in batches:
+nothing *semantically* but share almost everything *structurally*:
 
 * :class:`PointSpec` is a picklable description of one sweep point (the same
   arguments :func:`repro.experiments.runner.run_point` takes),
@@ -14,176 +13,63 @@ module fans those points across a process pool in batches:
 * :func:`sweep_curves` groups flat results back into the per-protocol curve
   dictionaries the figure drivers consume.
 
-Execution is *batched*: specs are chunked by their batch key — (protocol,
-processor count) — and each chunk runs on a
+Execution goes through :func:`repro.experiments.executor.execute`, the one
+executor sweeps share with verification campaigns: specs are chunked by their
+batch key — (protocol, processor count) — and each chunk runs on a
 :class:`~repro.experiments.batch.BatchRunner` that keeps one constructed
 system per key, resets it between points, and pools hot allocations in a
-shared :class:`~repro.sim.arena.SimulationArena`.  Worker processes hold one
-runner for their whole life, so even chunks arriving later skip system
-construction.  Completed chunks stream back (and into the cache) as they
-finish rather than at sweep end.
+shared :class:`~repro.sim.arena.SimulationArena`.  Completed points stream
+into the cache as they finish rather than at sweep end.
 
 Determinism: each point is seeded from its own spec (``scale.seeds``), never
 from worker identity, scheduling order, or the reset history of the system it
 runs on — a reset system is contractually indistinguishable from a fresh one
-(see the reset-equivalence tests), so ``run_sweep(workers=1)`` and
-``run_sweep(workers=N)`` produce identical results point for point, as does
-``batch=False``.
+(see the reset-equivalence tests), so ``run_sweep(workers=1)``,
+``run_sweep(workers=N)`` and the rebuild-per-point ``PointSpec.run`` produce
+identical results point for point.
 
-The executor falls back to serial execution when the requested worker count
-is ``<= 1``, when a spec is not picklable (e.g. an ad-hoc workload closure),
-or when the platform refuses to start a process pool (restricted sandboxes).
+Sweeps run serially when the requested worker count is ``<= 1``, for specs
+that are not picklable (e.g. an ad-hoc workload closure), and when the
+platform refuses to start a process pool (restricted sandboxes).
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
 import logging
 import os
-import pickle
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 logger = logging.getLogger(__name__)
 
 from .. import _core
 from ..common.config import ProtocolName
 from ..system.multiprocessor import RunResult
-from .batch import BatchRunner, spec_batch_key
+from .batch import spec_batch_key
+from .executor import (  # the worker and timeout settings are re-exported
+    TASK_TIMEOUT_ENV,
+    WORKERS_ENV,
+    available_workers,
+    execute,
+    resolve_task_timeout,
+    resolve_workers,
+)
 from .runner import ExperimentScale, SweepPoint, run_point
 
 #: Bump when the simulation core changes in a way that invalidates cached
 #: sweep results.
 CACHE_VERSION = 1
 
-#: Environment variable consulted when ``workers`` is not given explicitly.
-WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-
-#: Exceptions that demote a process-pool attempt to the serial fallback path:
-#: restricted sandboxes (no semaphores / fork), missing multiprocessing
-#: support, and payloads that turn out not to pickle.  Shared with the
-#: verification campaign executor, which mirrors this executor's fallback
-#: behaviour.
-POOL_FALLBACK_ERRORS = (
-    OSError,
-    ImportError,
-    RuntimeError,
-    pickle.PicklingError,
-    AttributeError,
-    TypeError,
-)
-
 #: Environment variable consulted when ``cache_dir`` is not given explicitly:
 #: point it at a directory and every sweep (including the PAPER-scale figure
 #: drivers) memoises its points there, so an interrupted reproduction resumes
 #: from the completed points instead of recomputing them.
 CACHE_ENV = "REPRO_SWEEP_CACHE"
-
-#: Environment variable supplying the default per-task wall-clock timeout (in
-#: seconds) for the process-pool paths.  A pool task that exceeds it is
-#: cancelled (abandoned if already running), logged, and retried serially, so
-#: one hung point degrades to a slow point instead of stalling the sweep.
-TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-
-
-def default_task_timeout() -> Optional[float]:
-    """Per-task pool timeout from $REPRO_TASK_TIMEOUT, or None (disabled)."""
-    env = os.environ.get(TASK_TIMEOUT_ENV)
-    if not env:
-        return None
-    try:
-        value = float(env)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def resolve_task_timeout(task_timeout) -> Optional[float]:
-    """Resolve an explicit ``task_timeout`` argument against the env default.
-
-    ``None`` defers to $REPRO_TASK_TIMEOUT; ``False`` (or 0) disables the
-    timeout outright, env var included — mirroring ``cache_dir``'s
-    ``None``/``False`` convention.
-    """
-    if task_timeout is None:
-        return default_task_timeout()
-    if task_timeout is False or not task_timeout:
-        return None
-    return float(task_timeout)
-
-
-def drain_futures(
-    futures: Dict, on_result: Callable, timeout: Optional[float], poll: float = 0.25
-) -> List:
-    """Collect pool futures, enforcing a per-task wall-clock deadline.
-
-    ``futures`` maps Future -> payload; ``on_result(payload, future)`` is
-    called for each completion (exceptions from ``future.result()``
-    propagate to the caller's fallback handling).  Returns the payloads of
-    futures that exceeded ``timeout`` — cancelled if still queued, abandoned
-    if running — which the caller retries serially.  With ``timeout=None``
-    this is plain ``as_completed`` collection.
-    """
-    from concurrent.futures import as_completed, wait as futures_wait
-
-    if timeout is None:
-        for future in as_completed(futures):
-            on_result(futures[future], future)
-        return []
-    deadlines = {future: time.monotonic() + timeout for future in futures}
-    pending = set(futures)
-    timed_out: List = []
-    while pending:
-        done, pending = futures_wait(pending, timeout=poll)
-        for future in done:
-            on_result(futures[future], future)
-        now = time.monotonic()
-        expired = {future for future in pending if now >= deadlines[future]}
-        for future in expired:
-            future.cancel()
-            timed_out.append(futures[future])
-        pending -= expired
-    return timed_out
-
-
-def shutdown_pool(pool, abandoned: bool) -> None:
-    """Dispose of a process pool, harshly if hung tasks were abandoned.
-
-    The normal path waits for workers like the context manager would.  After
-    a task timeout the pool may hold a wedged worker forever, so the
-    abandoned path skips the wait, cancels queued work, and terminates the
-    worker processes — leaking nothing into interpreter shutdown.
-    """
-    if not abandoned:
-        pool.shutdown(wait=True)
-        return
-    # Kill the workers *before* shutdown() discards the process table: the
-    # executor's management thread then observes the dead sentinels, marks
-    # the pool broken, and exits — otherwise the interpreter's atexit hook
-    # would join it forever behind the wedged task.
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
-        try:
-            process.terminate()
-        except (OSError, AttributeError):  # pragma: no cover - racing exit
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def available_workers() -> int:
-    """Worker count to use by default: $REPRO_SWEEP_WORKERS or the CPU count."""
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def default_cache_dir() -> Optional[str]:
@@ -342,58 +228,15 @@ class SweepCache:
             raise
 
 
-def _run_spec(spec: PointSpec) -> SweepPoint:
-    """Module-level worker entry point (must be picklable itself)."""
-    return spec.run()
-
-
-#: Per-process batch runner: worker processes live for the whole pool, so one
-#: runner per process lets late-arriving chunks reuse systems (and warm object
-#: pools) built by earlier chunks with the same batch key.
-_PROCESS_RUNNER: Optional[BatchRunner] = None
-
-
-def _process_runner() -> BatchRunner:
-    global _PROCESS_RUNNER
-    if _PROCESS_RUNNER is None:
-        _PROCESS_RUNNER = BatchRunner()
-    return _PROCESS_RUNNER
-
-
-def _run_chunk(specs: List[PointSpec]) -> List[SweepPoint]:
-    """Module-level worker entry point for one batched chunk of specs."""
-    return _process_runner().run_specs(specs)
-
-
-def _chunk_pending(
-    specs: Sequence[PointSpec], indices: List[int], workers: int
-) -> List[List[int]]:
-    """Group pending indices by batch key, then slice for load balance.
-
-    Keeping a chunk within one batch key means the worker that runs it builds
-    (or reuses) exactly one system; slicing keys into roughly
-    ``total / workers``-sized pieces keeps all workers busy even when one key
-    dominates the sweep.
-    """
-    by_key: Dict[object, List[int]] = {}
-    for index in indices:
-        by_key.setdefault(spec_batch_key(specs[index]), []).append(index)
-    chunk_size = max(1, -(-len(indices) // max(1, workers)))
-    chunks: List[List[int]] = []
-    for group in by_key.values():
-        for start in range(0, len(group), chunk_size):
-            chunks.append(group[start : start + chunk_size])
-    return chunks
-
-
-# ------------------------------------------------------------------ executor
+def _run_batched(spec: PointSpec, runner) -> SweepPoint:
+    """Executor entry point: one point on a pooled, resettable system."""
+    return runner.run_spec(spec)
 
 
 def run_sweep(
     specs: Sequence[PointSpec],
     workers: Optional[int] = None,
     cache_dir: Union[os.PathLike, str, bool, None] = None,
-    batch: bool = True,
     service=None,
     task_timeout: Union[float, bool, None] = None,
 ) -> List[SweepPoint]:
@@ -401,19 +244,17 @@ def run_sweep(
 
     ``workers`` > 1 fans the uncached points across a process pool; ``None``
     or 1 runs serially (``0`` means "auto": $REPRO_SWEEP_WORKERS or the CPU
-    count).  ``cache_dir`` enables the on-disk result cache, so repeated
-    figure runs skip completed points; when it is not given, the
+    count; negative raises).  ``cache_dir`` enables the on-disk result cache,
+    so repeated figure runs skip completed points; when it is not given, the
     $REPRO_SWEEP_CACHE environment variable supplies the default, so
     interrupted PAPER-scale sweeps resume automatically — pass
     ``cache_dir=False`` to disable caching outright, env var included
     (benchmarks that *time* sweeps must actually run them).  Completed
     points are persisted as they finish, not at sweep end.
 
-    ``batch=True`` (the default) executes points on pooled, resettable
-    systems — one construction per (protocol, processor count) per worker —
-    which is wall-time equivalent work to ``batch=False``'s
-    build-per-point path but substantially faster; results are identical
-    either way.
+    Points execute on pooled, resettable systems — one construction per
+    (protocol, processor count) per worker; results are identical to the
+    rebuild-per-point :meth:`PointSpec.run`.
 
     ``service`` routes the sweep through the fault-tolerant campaign service
     instead of the ad-hoc pool: pass a store directory, a
@@ -427,9 +268,7 @@ def run_sweep(
     task's wall clock: a hung task is cancelled, logged, and retried
     serially rather than stalling the whole sweep.
     """
-    if workers == 0:
-        workers = available_workers()
-    workers = 1 if workers is None else max(1, workers)
+    workers = resolve_workers(workers)
     timeout = resolve_task_timeout(task_timeout)
 
     if cache_dir is None or cache_dir is True:
@@ -440,15 +279,18 @@ def run_sweep(
         cache_dir = None
     cache = SweepCache(Path(cache_dir)) if cache_dir is not None else None
     results: List[Optional[SweepPoint]] = [None] * len(specs)
-    pending: List[int] = []
+    portable: List[int] = []
+    adhoc: List[int] = []
 
     for index, spec in enumerate(specs):
-        if cache is not None and spec.is_portable():
-            cached = cache.load(spec.cache_key())
-            if cached is not None:
-                results[index] = cached
-                continue
-        pending.append(index)
+        if not spec.is_portable():
+            adhoc.append(index)
+            continue
+        cached = cache.load(spec.cache_key()) if cache is not None else None
+        if cached is None:
+            portable.append(index)
+        else:
+            results[index] = cached
 
     def finish(index: int, point: SweepPoint) -> None:
         """Record one computed point and stream it into the cache."""
@@ -456,93 +298,32 @@ def run_sweep(
         if cache is not None and specs[index].is_portable():
             cache.store(specs[index].cache_key(), point)
 
-    if service is not None:
+    if service is not None and portable:
         # The durable-store path: portable points become leased work units;
         # ad-hoc (unpicklable) specs keep the in-process serial path below.
         from .service import run_service_sweep
 
-        service_indices = [i for i in pending if specs[i].is_portable()]
-        if service_indices:
-            points, _summary = run_service_sweep(
-                [specs[i] for i in service_indices],
-                service,
-                workers=None if workers <= 1 else workers,
-            )
-            for index, point in zip(service_indices, points):
-                finish(index, point)
-        parallel_indices: List[int] = []
-        parallel_set = set(parallel_indices)
-        serial_indices = [i for i in pending if not specs[i].is_portable()]
-    else:
-        parallel_indices = [
-            i for i in pending if workers > 1 and specs[i].is_portable()
-        ]
-        parallel_set = set(parallel_indices)
-        serial_indices = [i for i in pending if i not in parallel_set]
-
-    if parallel_indices:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            max_workers = min(workers, len(parallel_indices))
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            abandoned = False
-            try:
-                if batch:
-                    chunks = _chunk_pending(specs, parallel_indices, max_workers)
-                    futures = {
-                        pool.submit(_run_chunk, [specs[i] for i in chunk]): chunk
-                        for chunk in chunks
-                    }
-                else:
-                    futures = {
-                        pool.submit(_run_spec, specs[i]): [i]
-                        for i in parallel_indices
-                    }
-
-                def on_result(chunk: List[int], future) -> None:
-                    points = future.result() if batch else [future.result()]
-                    for index, point in zip(chunk, points):
-                        finish(index, point)
-
-                timed_out = drain_futures(futures, on_result, timeout)
-                if timed_out:
-                    abandoned = True
-                    hung = sorted(i for chunk in timed_out for i in chunk)
-                    logger.warning(
-                        "%d sweep point(s) exceeded the %.1fs task timeout; "
-                        "abandoning their pool tasks and retrying serially",
-                        len(hung),
-                        timeout,
-                    )
-                    serial_indices = sorted(set(serial_indices).union(hung))
-            finally:
-                shutdown_pool(pool, abandoned)
-        except POOL_FALLBACK_ERRORS:
-            # Restricted environments (no semaphores / fork) and specs that
-            # turn out not to pickle fall back to the serial path (points the
-            # pool did complete are kept).  A genuine simulation error
-            # re-raises from the serial run below, so broad catching here
-            # cannot mask it; results are identical either way.
-            serial_indices = sorted(parallel_set.union(serial_indices))
-
-    if serial_indices:
-        runner = BatchRunner() if batch else None
-        guard = (
-            runner.arena.runtime()
-            if runner is not None and runner.arena is not None
-            else contextlib.nullcontext()
+        points, _summary = run_service_sweep(
+            [specs[i] for i in portable],
+            service,
+            workers=None if workers <= 1 else workers,
         )
-        with guard:
-            for index in serial_indices:
-                if results[index] is None:
-                    point = (
-                        runner.run_spec(specs[index])
-                        if runner is not None
-                        else specs[index].run()
-                    )
-                    finish(index, point)
+        for index, point in zip(portable, points):
+            finish(index, point)
+        portable = []
 
+    def compute(indices: List[int], count: int) -> None:
+        execute(
+            [specs[i] for i in indices],
+            _run_batched,
+            spec_batch_key,
+            workers=count,
+            timeout=timeout,
+            on_result=lambda position, point: finish(indices[position], point),
+        )
+
+    compute(portable, workers)
+    compute(adhoc, 1)  # ad-hoc specs cannot be shipped to a worker
     return results  # type: ignore[return-value]
 
 

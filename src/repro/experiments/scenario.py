@@ -169,14 +169,13 @@ class GridScenario:
         scale=QUICK,
         workers: Optional[int] = None,
         cache_dir=None,
-        batch: bool = True,
         axes: Optional[Mapping[str, Iterable]] = None,
         fixed: Optional[Mapping[str, object]] = None,
         service=None,
     ) -> ScenarioResult:
         scale = resolve_scale(scale)
         frame = self.grid(scale, axes=axes, fixed=fixed).run(
-            workers=workers, cache_dir=cache_dir, batch=batch, service=service
+            workers=workers, cache_dir=cache_dir, service=service
         )
         try:
             data = (
@@ -251,7 +250,6 @@ def run_scenario(
     scale=QUICK,
     workers: Optional[int] = None,
     cache_dir=None,
-    batch: bool = True,
     axes: Optional[Mapping[str, Iterable]] = None,
     fixed: Optional[Mapping[str, object]] = None,
     service=None,
@@ -268,7 +266,6 @@ def run_scenario(
             scale=scale,
             workers=workers,
             cache_dir=cache_dir,
-            batch=batch,
             axes=axes,
             fixed=fixed,
             service=service,

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import ServiceError
+from ..errors import ConfigurationError, ServiceError
 from .batch import BatchRunner
 from .jobstore import (
     DONE,
@@ -436,6 +436,10 @@ class CampaignService:
         speculate_after: Optional[float] = None,
         respawn_limit: int = 8,
     ) -> None:
+        if workers is not None and workers < 0:
+            raise ConfigurationError(
+                f"workers must be >= 0 (0 = drain inline), got {workers}"
+            )
         self.store = store
         self.workers = workers
         self.fault_plan = fault_plan
@@ -505,7 +509,7 @@ class CampaignService:
                 unit_ids.append(unit.unit_id)
             if state == DONE:
                 summary.resumed += 1
-        requested = 0 if self.workers is None else max(0, int(self.workers))
+        requested = int(self.workers or 0)
         if requested and not self.store.finished(unit_ids):
             try:
                 self._run_fleet(unit_ids, requested, summary)
@@ -651,23 +655,6 @@ _SPAWN_FALLBACK_ERRORS = (OSError, ImportError, RuntimeError, pickle.PicklingErr
 # ------------------------------------------------------------ campaign fronts
 
 
-def _drive(
-    units: Sequence[WorkUnit],
-    config: ServiceConfig,
-    workers: Optional[int],
-    fault_plan: Optional[FaultPlan],
-) -> Tuple[JobStore, ServiceSummary]:
-    store = config.job_store()
-    service = CampaignService(
-        store,
-        workers=config.workers if workers is None else workers,
-        fault_plan=config.fault_plan if fault_plan is None else fault_plan,
-        stall_timeout=config.stall_timeout,
-        speculate_after=config.speculate_after,
-    )
-    return store, service.run(units)
-
-
 def _quarantine_error(store: JobStore, summary: ServiceSummary) -> ServiceError:
     details = []
     for unit_id in summary.quarantined[:5]:
@@ -681,6 +668,40 @@ def _quarantine_error(store: JobStore, summary: ServiceSummary) -> ServiceError:
         f"{store.max_attempts} attempts (artifacts under "
         f"{store.artifacts_dir}): " + "; ".join(details)
     )
+
+
+def _run_units(
+    items: Sequence,
+    service,
+    workers: Optional[int],
+    fault_plan: Optional[FaultPlan],
+    strict: bool,
+    unit_for,
+    decode,
+) -> Tuple[List, ServiceSummary]:
+    """Enqueue one unit per item, drive the store, decode results in order."""
+    config = resolve_service(service)
+    units = [unit_for(item) for item in items]
+    store = config.job_store()
+    summary = CampaignService(
+        store,
+        workers=config.workers if workers is None else workers,
+        fault_plan=config.fault_plan if fault_plan is None else fault_plan,
+        stall_timeout=config.stall_timeout,
+        speculate_after=config.speculate_after,
+    ).run(units)
+    if strict and summary.quarantined:
+        raise _quarantine_error(store, summary)
+    results: List = []
+    for unit in units:
+        result = store.load_result(unit.unit_id)
+        results.append(decode(result) if result is not None else None)
+    if strict and any(result is None for result in results):
+        raise ServiceError(
+            "service campaign finished but some results are unreadable; "
+            f"inspect {store.root}"
+        )
+    return results, summary
 
 
 def run_service_sweep(
@@ -698,21 +719,9 @@ def run_service_sweep(
     the store, so a retry costs only the quarantined units.  ``strict=False``
     (the ``serve`` CLI) leaves ``None`` holes and reports instead.
     """
-    config = resolve_service(service)
-    units = [unit_for_spec(spec) for spec in specs]
-    store, summary = _drive(units, config, workers, fault_plan)
-    if strict and summary.quarantined:
-        raise _quarantine_error(store, summary)
-    points: List[Optional[SweepPoint]] = []
-    for unit in units:
-        result = store.load_result(unit.unit_id)
-        points.append(point_from_result(result) if result is not None else None)
-    if strict and any(point is None for point in points):
-        raise ServiceError(
-            "service campaign finished but some results are unreadable; "
-            f"inspect {store.root}"
-        )
-    return points, summary
+    return _run_units(
+        specs, service, workers, fault_plan, strict, unit_for_spec, point_from_result
+    )
 
 
 def run_service_campaign(
@@ -723,20 +732,6 @@ def run_service_campaign(
     strict: bool = True,
 ) -> Tuple[List[object], ServiceSummary]:
     """Run verification tasks through the durable campaign service."""
-    config = resolve_service(service)
-    units = [unit_for_task(task) for task in tasks]
-    store, summary = _drive(units, config, workers, fault_plan)
-    if strict and summary.quarantined:
-        raise _quarantine_error(store, summary)
-    outcomes: List[object] = []
-    for unit in units:
-        result = store.load_result(unit.unit_id)
-        outcomes.append(
-            outcome_from_result(result) if result is not None else None
-        )
-    if strict and any(outcome is None for outcome in outcomes):
-        raise ServiceError(
-            "service campaign finished but some results are unreadable; "
-            f"inspect {store.root}"
-        )
-    return outcomes, summary
+    return _run_units(
+        tasks, service, workers, fault_plan, strict, unit_for_task, outcome_from_result
+    )

@@ -243,7 +243,6 @@ class StudyGrid:
         self,
         workers: Optional[int] = None,
         cache_dir=None,
-        batch: bool = True,
         service=None,
     ) -> "ResultFrame":
         """Execute the grid through the batched sweep executor.
@@ -259,7 +258,6 @@ class StudyGrid:
             specs,
             workers=workers,
             cache_dir=cache_dir,
-            batch=batch,
             service=service,
         )
         return ResultFrame.from_grid(

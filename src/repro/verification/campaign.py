@@ -4,11 +4,12 @@ A :class:`VerificationCampaign` fans verification *tasks* — differential
 trace replays (see :mod:`repro.verification.differential`) and random-tester
 runs (see :mod:`repro.verification.random_tester`) — across seeds × protocols
 × configuration axes (processors, hot blocks, bandwidth, outstanding
-operations per node, adaptive thresholds, cache capacity).  Execution mirrors
-the experiment sweep executor: tasks run on a process pool when workers are
-available (each worker keeps one :class:`~repro.experiments.batch.BatchRunner`
-whose pooled systems are *reset*, not rebuilt, between tasks) and fall back
-to a serial loop in restricted sandboxes.
+operations per node, adaptive thresholds, cache capacity).  Tasks run
+through :func:`repro.experiments.executor.execute`, the one executor
+campaigns share with sweeps: on a process pool when workers are available
+(each worker keeps one :class:`~repro.experiments.batch.BatchRunner` whose
+pooled systems are *reset*, not rebuilt, between tasks), serially otherwise
+and in restricted sandboxes.
 
 When a task fails, the campaign **shrinks** the failing trace to a minimal
 reproducer — greedy chunked op-removal, re-running the differential checker
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,15 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..common.config import ProtocolName
 from ..errors import VerificationError
 from ..experiments.batch import BatchRunner
-from ..experiments.parallel import (
-    POOL_FALLBACK_ERRORS,
-    available_workers,
-    drain_futures,
-    resolve_task_timeout,
-    shutdown_pool,
-)
-
-logger = logging.getLogger(__name__)
+from ..experiments.executor import execute, resolve_task_timeout, resolve_workers
 from .differential import (
     ALL_PROTOCOLS,
     MemoryTrace,
@@ -595,39 +587,7 @@ class CampaignResult:
         }
 
 
-# ------------------------------------------------------------- pool execution
-
-#: Per-process batch runner: worker processes live for the whole pool, so one
-#: runner per process lets every task reuse (reset) previously built systems.
-_PROCESS_RUNNER: Optional[BatchRunner] = None
-
-
-def _process_runner() -> BatchRunner:
-    global _PROCESS_RUNNER
-    if _PROCESS_RUNNER is None:
-        _PROCESS_RUNNER = BatchRunner()
-    return _PROCESS_RUNNER
-
-
-def _run_task_chunk(tasks: List[VerificationTask]) -> List[TaskOutcome]:
-    """Module-level worker entry point (must be picklable itself)."""
-    runner = _process_runner()
-    return [run_task(task, runner) for task in tasks]
-
-
-def _chunk_tasks(
-    tasks: Sequence[VerificationTask], workers: int
-) -> List[List[int]]:
-    """Group task indices by system shape, then slice for load balance."""
-    by_key: Dict[Tuple, List[int]] = {}
-    for index, task in enumerate(tasks):
-        by_key.setdefault((task.num_processors,), []).append(index)
-    chunk_size = max(1, -(-len(tasks) // max(1, workers)))
-    chunks: List[List[int]] = []
-    for group in by_key.values():
-        for start in range(0, len(group), chunk_size):
-            chunks.append(group[start : start + chunk_size])
-    return chunks
+# ------------------------------------------------------------------ execution
 
 
 def _run_campaign_tasks(
@@ -639,8 +599,8 @@ def _run_campaign_tasks(
     """Run tasks; returns (outcomes in order, workers used, service summary).
 
     ``workers=0`` means "auto" ($REPRO_SWEEP_WORKERS or the CPU count), like
-    the sweep executor.  Restricted sandboxes fall back to a serial loop on a
-    single reset-reusing runner; results are identical either way.
+    the sweep executor; negative raises.  Tasks are chunked by processor
+    count, the shape of the systems they reuse.
 
     ``service`` shards the campaign into the fault-tolerant job service
     (durable leased work units over a shared store) instead of the ad-hoc
@@ -648,67 +608,23 @@ def _run_campaign_tasks(
     task's wall clock: a hung task is cancelled, logged, and retried
     serially rather than stalling the campaign.
     """
-    if workers == 0:
-        workers = available_workers()
-    workers = 1 if workers is None else max(1, workers)
+    workers = resolve_workers(workers)
     timeout = resolve_task_timeout(task_timeout)
-    results: List[Optional[TaskOutcome]] = [None] * len(tasks)
-    used_workers = 1
-
     if service is not None:
         from ..experiments.service import run_service_campaign
 
         outcomes, summary = run_service_campaign(
             tasks, service, workers=None if workers <= 1 else workers
         )
-        return (  # type: ignore[return-value]
-            list(outcomes), max(1, workers), summary.to_jsonable()
-        )
-
-    if workers > 1 and len(tasks) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            max_workers = min(workers, len(tasks))
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            abandoned = False
-            try:
-                chunks = _chunk_tasks(tasks, max_workers)
-                futures = {
-                    pool.submit(_run_task_chunk, [tasks[i] for i in chunk]): chunk
-                    for chunk in chunks
-                }
-
-                def on_result(chunk: List[int], future) -> None:
-                    for index, outcome in zip(chunk, future.result()):
-                        results[index] = outcome
-
-                timed_out = drain_futures(futures, on_result, timeout)
-                if timed_out:
-                    abandoned = True
-                    hung = sorted(i for chunk in timed_out for i in chunk)
-                    logger.warning(
-                        "%d verification task(s) exceeded the %.1fs task "
-                        "timeout; abandoning their pool tasks and retrying "
-                        "serially",
-                        len(hung),
-                        timeout,
-                    )
-            finally:
-                shutdown_pool(pool, abandoned)
-            used_workers = max_workers
-        except POOL_FALLBACK_ERRORS:
-            # Restricted environments and unpicklable payloads fall back to
-            # the serial loop below; outcomes the pool did complete are kept
-            # (mirroring run_sweep's fallback).
-            pass
-
-    if any(result is None for result in results):
-        runner = BatchRunner()
-        for index, task in enumerate(tasks):
-            if results[index] is None:
-                results[index] = run_task(task, runner)
-    return results, used_workers, None  # type: ignore[return-value]
+        return list(outcomes), workers, summary.to_jsonable()
+    outcomes, used = execute(
+        tasks,
+        run_task,
+        lambda task: task.num_processors,
+        workers=workers,
+        timeout=timeout,
+    )
+    return outcomes, used, None
 
 
 def run_campaign_tasks(

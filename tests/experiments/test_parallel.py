@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.common.config import ProtocolName
+from repro.errors import ConfigurationError
 from repro.experiments.parallel import (
     TASK_TIMEOUT_ENV,
     PointSpec,
@@ -160,8 +161,10 @@ class TestFallbacks:
     def test_workers_auto_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
         assert available_workers() == 3
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "garbage")
-        assert available_workers() >= 1
+        for bad in ("garbage", "0", "-2", "1.5"):
+            monkeypatch.setenv("REPRO_SWEEP_WORKERS", bad)
+            with pytest.raises(ConfigurationError, match="REPRO_SWEEP_WORKERS"):
+                available_workers()
 
     def test_sweep_curves_groups_in_input_order(self):
         specs = _specs()
@@ -231,13 +234,13 @@ class TestCacheEnvDefault:
 _PARENT_PID = os.getpid()
 
 
-def _hang_in_child(specs_chunk):
+def _hang_in_child(run_one, items):
     """Pool chunk runner that wedges only inside a pool worker process."""
     if os.getpid() != _PARENT_PID:
         time.sleep(600)  # terminated by shutdown_pool, never finishes
-    from repro.experiments.parallel import _run_chunk
+    from repro.experiments.executor import _run_chunk
 
-    return _run_chunk(specs_chunk)
+    return _run_chunk(run_one, items)
 
 
 class TestTaskTimeout:
@@ -251,7 +254,8 @@ class TestTaskTimeout:
         assert resolve_task_timeout(10) == 10.0
         assert resolve_task_timeout(False) is None  # False beats the env
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "garbage")
-        assert resolve_task_timeout(None) is None
+        with pytest.raises(ConfigurationError, match=TASK_TIMEOUT_ENV):
+            resolve_task_timeout(None)
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "0")
         assert resolve_task_timeout(None) is None
 
@@ -260,12 +264,12 @@ class TestTaskTimeout:
     ):
         import logging
 
-        import repro.experiments.parallel as parallel_module
+        import repro.experiments.executor as executor_module
 
         specs = _specs(protocols=(ProtocolName.SNOOPING,))
         expected = run_sweep(specs, workers=1)
-        monkeypatch.setattr(parallel_module, "_run_chunk", _hang_in_child)
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.parallel"):
+        monkeypatch.setattr(executor_module, "_run_chunk", _hang_in_child)
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
             points = run_sweep(specs, workers=2, task_timeout=0.5)
         assert [_key(p) for p in points] == [_key(p) for p in expected]
         assert any("task timeout" in record.message for record in caplog.records)

@@ -343,12 +343,11 @@ class TestFigureDriverPlumbing:
         captured = {}
         original = study.run_sweep
 
-        def spy(specs, workers=None, cache_dir=None, batch=True, service=None):
+        def spy(specs, workers=None, cache_dir=None, service=None):
             captured["workers"] = workers
             captured["cache_dir"] = cache_dir
             return original(
-                specs, workers=None, cache_dir=cache_dir, batch=batch,
-                service=service,
+                specs, workers=None, cache_dir=cache_dir, service=service
             )
 
         monkeypatch.setattr(study, "run_sweep", spy)

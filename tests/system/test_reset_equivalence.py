@@ -243,7 +243,7 @@ class TestBatchRunner:
     def test_run_sweep_batched_equals_unbatched(self):
         specs = self._specs()
         batched = run_sweep(specs, workers=1)
-        unbatched = run_sweep(specs, workers=1, batch=False)
+        unbatched = [spec.run() for spec in specs]
         for a, b in zip(batched, unbatched):
             assert a.results == b.results
 

@@ -198,28 +198,32 @@ import time as _time
 _PARENT_PID = _os.getpid()
 
 
-def _hang_chunk_in_child(tasks):
+def _hang_chunk_in_child(run_one, items):
     """Chunk runner that wedges only inside a pool worker process."""
     if _os.getpid() != _PARENT_PID:
         _time.sleep(600)
-    from repro.verification.campaign import _run_task_chunk
+    from repro.experiments.executor import _run_chunk
 
-    return _run_task_chunk(tasks)
+    return _run_chunk(run_one, items)
 
 
 class TestTaskTimeout:
-    def test_hung_task_is_cancelled_and_retried_serially(self, monkeypatch):
-        import repro.verification.campaign as campaign_module
+    def test_hung_task_is_cancelled_and_retried_serially(
+        self, monkeypatch, caplog
+    ):
+        import logging
+
+        import repro.experiments.executor as executor_module
 
         tasks = TINY.tasks()
         serial = run_campaign_tasks(tasks, workers=1)
-        monkeypatch.setattr(
-            campaign_module, "_run_task_chunk", _hang_chunk_in_child
-        )
-        rescued = run_campaign_tasks(tasks, workers=2, task_timeout=0.5)
+        monkeypatch.setattr(executor_module, "_run_chunk", _hang_chunk_in_child)
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.executor"):
+            rescued = run_campaign_tasks(tasks, workers=2, task_timeout=0.5)
         assert [o.to_jsonable() for o in serial] == [
             o.to_jsonable() for o in rescued
         ]
+        assert any("task timeout" in record.message for record in caplog.records)
 
 
 class TestServiceCampaign:
