@@ -23,6 +23,7 @@ from .system.multiprocessor import MultiprocessorSystem, RunResult, simulate
 from .workloads.microbenchmark import LockingMicrobenchmark
 from .workloads.presets import WORKLOAD_PRESETS
 from .workloads.synthetic import SyntheticCommercialWorkload
+from ._core import manifest as _manifest
 
 __version__ = "1.0.0"
 
@@ -42,3 +43,7 @@ __all__ = [
     "format_table",
     "__version__",
 ]
+
+# Every module the acceleration manifest names is imported by now, and no user
+# code has run yet: snapshot the methods the compiled fast paths mirror.
+_manifest.capture()

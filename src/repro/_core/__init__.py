@@ -48,6 +48,8 @@ import contextlib
 import os
 from typing import Callable, Dict, Iterator, Optional
 
+from . import manifest
+
 #: Environment variable naming the requested backend.
 ENV_VAR = "REPRO_BACKEND"
 
@@ -248,37 +250,6 @@ def handler_selections() -> Dict[str, str]:
     return dict(_handler_selections)
 
 
-def handlers_available() -> bool:
-    """True when the loaded extension carries the compiled handler layer.
-
-    Distinct from :func:`compiled_available`: an older ``.so`` built before
-    the handler fast paths existed still provides the event core but not
-    the delivery objects.  Does not attempt the import itself.
-    """
-    return _ext is not None and hasattr(_ext, "SnoopDeliver")
-
-
-def issue_available() -> bool:
-    """True when the loaded extension carries the compiled issue chain.
-
-    Same shape as :func:`handlers_available`: an ``.so`` built before the
-    request-issue fast path existed provides the event core (and possibly
-    the handler layer) but not the ``SequencerStep`` object.  Does not
-    attempt the import itself.
-    """
-    return _ext is not None and hasattr(_ext, "SequencerStep")
-
-
-def adaptation_available() -> bool:
-    """True when the loaded extension carries the compiled BASH sampling tick.
-
-    Same shape as :func:`issue_available`: an ``.so`` built before
-    ``SampleTick`` existed keeps the Python tick.  Does not attempt the
-    import itself.
-    """
-    return _ext is not None and hasattr(_ext, "SampleTick")
-
-
 def accelerator_for(scheduler):
     """The extension module when ``scheduler`` is a compiled instance.
 
@@ -299,16 +270,15 @@ def backend_info() -> Dict[str, object]:
     _resolve()
     ext = _ext
     version = getattr(ext, "CORE_VERSION", None) if ext is not None else None
+    # One status per manifest component: compiled when the loaded extension
+    # carries every C type of its rows (an .so built from an older checkout
+    # reports "unavailable" instead of silently running the pure path).
     if _active == COMPILED:
-        event_core = COMPILED
-        handlers = COMPILED if handlers_available() else "unavailable"
-        issue_chain = COMPILED if issue_available() else "unavailable"
-        adaptation = COMPILED if adaptation_available() else "unavailable"
+        components = {"event_core": COMPILED}
+        for component, carried in manifest.components(ext).items():
+            components[component] = COMPILED if carried else "unavailable"
     else:
-        event_core = PURE
-        handlers = PURE
-        issue_chain = PURE
-        adaptation = PURE
+        components = dict.fromkeys(("event_core", *manifest.COMPONENTS), PURE)
     return {
         "name": _active,
         "requested": _requested,
@@ -317,11 +287,6 @@ def backend_info() -> Dict[str, object]:
         "compiled_loaded": ext is not None,
         "compiled_version": version,
         "compiled_import_error": _import_error,
-        "components": {
-            "event_core": event_core,
-            "handlers": handlers,
-            "issue_chain": issue_chain,
-            "adaptation": adaptation,
-        },
+        "components": components,
         "handler_selections": handler_selections(),
     }

@@ -10,6 +10,7 @@ Experiment drivers construct these and hand them to
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -18,6 +19,24 @@ from typing import Tuple
 from ..errors import ConfigurationError
 from . import constants
 from .units import mb_per_second_to_bytes_per_cycle
+
+
+def _require_integers(config: object, names: Tuple[str, ...]) -> None:
+    """Reject non-integral values of integer fields, normalising the rest.
+
+    Anything ``operator.index`` accepts (NumPy integers included) is stored
+    as a plain ``int``; floats, NaN and other types raise here rather than
+    as a ``TypeError`` deep inside a run.
+    """
+    for name in names:
+        value = getattr(config, name)
+        try:
+            number = operator.index(value)
+        except TypeError:
+            raise ConfigurationError(
+                f"{name} must be an integer, got {value!r}"
+            ) from None
+        object.__setattr__(config, name, number)
 
 
 class ProtocolName(str, Enum):
@@ -40,7 +59,9 @@ class LatencyConfig:
     cache_response: int = constants.CACHE_RESPONSE_CYCLES
 
     def __post_init__(self) -> None:
-        for name in ("network_traversal", "dram_access", "cache_response"):
+        names = ("network_traversal", "dram_access", "cache_response")
+        _require_integers(self, names)
+        for name in names:
             value = getattr(self, name)
             if value < 0:
                 raise ConfigurationError(f"{name} must be non-negative, got {value}")
@@ -85,6 +106,17 @@ class AdaptiveConfig:
     record_full_history: bool = False
 
     def __post_init__(self) -> None:
+        _require_integers(
+            self,
+            (
+                "sampling_interval",
+                "policy_counter_bits",
+                "lfsr_seed",
+                "max_retries_before_broadcast",
+                "retry_buffer_size",
+                "history_capacity",
+            ),
+        )
         if not 0.0 < self.utilization_threshold < 1.0:
             raise ConfigurationError(
                 "utilization_threshold must be strictly between 0 and 1, got "
@@ -145,6 +177,17 @@ class SystemConfig:
     random_seed: int = 1
 
     def __post_init__(self) -> None:
+        _require_integers(
+            self,
+            (
+                "num_processors",
+                "cache_capacity_blocks",
+                "cache_block_bytes",
+                "request_message_bytes",
+                "data_message_bytes",
+                "random_seed",
+            ),
+        )
         if self.num_processors < 2:
             raise ConfigurationError(
                 f"need at least 2 processors, got {self.num_processors}"
@@ -167,6 +210,10 @@ class SystemConfig:
             raise ConfigurationError(
                 "cache_capacity_blocks must be positive, got "
                 f"{self.cache_capacity_blocks}"
+            )
+        if self.cache_block_bytes < 1:
+            raise ConfigurationError(
+                f"cache_block_bytes must be positive, got {self.cache_block_bytes}"
             )
         if self.request_message_bytes <= 0 or self.data_message_bytes <= 0:
             raise ConfigurationError("message sizes must be positive")

@@ -22,13 +22,11 @@ from typing import Optional
 
 from ...coherence.block import CacheBlock
 from ...coherence.transaction import Transaction
-from ...common.stats import RunningMean
 from ...errors import ProtocolError
-from ...interconnect.link import EndpointLink
 from ...interconnect.message import Message, MessageType
-from ..dispatch import compile_sample_tick, pristine_snapshot
+from ..dispatch import compile_sample_tick
 from ..snooping.cache_controller import SnoopingCacheController
-from .adaptive import AdaptiveSample, BandwidthAdaptiveMechanism
+from .adaptive import BandwidthAdaptiveMechanism
 
 
 class BashCacheController(SnoopingCacheController):
@@ -243,37 +241,3 @@ class BashCacheController(SnoopingCacheController):
             raise ProtocolError("writebacks are never retried in BASH")
         super()._snoop_putm(message)
 
-
-#: Captured at import, resolving BASH's own overrides: the methods the
-#: compiled delivery objects inline for a BASH cache controller.
-INLINED_PRISTINE = pristine_snapshot(
-    BashCacheController,
-    (
-        "_snoop_request",
-        "_snoop_putm",
-        "_handle_own_request",
-        "_try_complete_at_marker",
-        "_own_request_sufficient",
-        "_serve_stable",
-    ),
-)
-
-#: The DATA-response chain, resolved against BASH's own MRO (all inherited
-#: today, but a class-level patch here must keep the pure DATA path).
-DATA_INLINED_PRISTINE = pristine_snapshot(
-    BashCacheController,
-    ("_handle_data", "_finish_getm", "_finish_gets", "_service_deferred", "_complete"),
-)
-
-#: The sampling tick the compiled ``SampleTick`` fuses into one C call (see
-#: ``compile_sample_tick`` in ``repro.protocols.dispatch``): a class-level
-#: patch to any of these keeps the Python tick.
-SAMPLE_PRISTINE = (
-    pristine_snapshot(
-        BashCacheController, ("_sample_utilization", "_schedule_sampling")
-    )
-    + pristine_snapshot(BandwidthAdaptiveMechanism, ("observe_window",))
-    + pristine_snapshot(AdaptiveSample, ("__init__",))
-    + pristine_snapshot(RunningMean, ("record",))
-    + pristine_snapshot(EndpointLink, ("busy_time_up_to",))
-)

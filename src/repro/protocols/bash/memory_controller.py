@@ -26,7 +26,6 @@ from ...coherence.directory import DirectoryEntry
 from ...errors import ProtocolError
 from ...interconnect.message import DestinationUnit, Message, MessageType
 from ..snooping.memory_controller import OrderedHomeMemoryController
-from ..dispatch import pristine_snapshot
 
 
 class BashMemoryController(OrderedHomeMemoryController):
@@ -141,10 +140,3 @@ class BashMemoryController(OrderedHomeMemoryController):
         )
         self.interconnect.send_unordered(nack)
 
-
-#: Captured at import, resolving BASH's own overrides: the home-serve
-#: methods the compiled delivery objects inline (mem_mode 2).
-INLINED_PRISTINE = pristine_snapshot(
-    BashMemoryController,
-    ("_ordered_request", "_serve_request", "_note_request_observed"),
-)

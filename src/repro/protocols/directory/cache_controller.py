@@ -17,15 +17,6 @@ from ...coherence.transaction import Transaction
 from ...errors import ProtocolError
 from ...interconnect.message import DestinationUnit, Message, MessageType
 from ..base import CacheControllerBase
-from ..dispatch import (
-    ARENA_PRISTINE,
-    BLOCK_PRISTINE,
-    TRANSACTION_PRISTINE,
-    handler_accelerator,
-    is_pristine,
-    note_selection,
-    pristine_snapshot,
-)
 
 
 class DirectoryCacheController(CacheControllerBase):
@@ -93,109 +84,6 @@ class DirectoryCacheController(CacheControllerBase):
             issue_time=self.now,
         )
         self._unordered_send(message)
-
-    # --------------------------------------------------- compiled delivery
-
-    def compile_accelerated_ordered(self, msg_type, memory_controller, home_filter):
-        """A C delivery object for MARKER / forwarded-request entries.
-
-        Same shape as the snooping variant: per-handler, exact class, and
-        default-table-entry checks, declining to the generic path on any
-        customisation.  The Directory home consumes nothing ordered, so a
-        memory controller that *does* register an ordered handler for the
-        type means a customised system — decline.  PUT_ACK/PUT_NACK stay
-        pure (rare, and they complete writebacks).
-        """
-        ext = handler_accelerator(self)
-        if ext is None or type(self) is not DirectoryCacheController:
-            return None
-        if memory_controller.ordered_handlers.get(msg_type) is not None:
-            return None
-        if not is_pristine(INLINED_PRISTINE, TRANSACTION_PRISTINE):
-            note_selection(self, msg_type, "declined")
-            return None
-        if msg_type is MessageType.MARKER:
-            expected, forward = self._handle_marker, 0
-        elif msg_type in (MessageType.FWD_GETS, MessageType.FWD_GETM):
-            expected, forward = self._handle_forward, 1
-        else:
-            return None
-        if self.ordered_handlers.get(msg_type) != expected:
-            note_selection(self, msg_type, "declined")
-            return None
-        note_selection(self, msg_type, "compiled")
-        return ext.DirDeliver(
-            forward=forward,
-            node_id=self.node_id,
-            controller=self,
-            transactions=self.transactions,
-            try_complete=self._try_complete,
-            handle_other=self._handle_other_forward if forward else None,
-            completer=self._compiled_data_deliver(ext),
-        )
-
-    def compile_accelerated_unordered(self, msg_type):
-        """A C delivery object for the unordered DATA entry, or None.
-
-        The returned object carries ``releases_message=True``: the
-        unordered network's deliver-and-release arena wrapper is folded
-        into the C call (DATA responses are point-to-point).
-        """
-        if msg_type is not MessageType.DATA:
-            return None
-        ext = handler_accelerator(self)
-        if ext is None:
-            return None
-        deliver = self._compiled_data_deliver(ext, releases_message=True)
-        if deliver is None:
-            note_selection(self, msg_type, "declined")
-            return None
-        note_selection(self, msg_type, "compiled")
-        return deliver
-
-    def _compiled_data_deliver(self, ext, releases_message=False):
-        """A ``DataDeliver`` for this controller, or None on any customisation.
-
-        Shared by the unordered DATA entry and — as ``DirDeliver``'s
-        ``completer`` — the marker-side completion, which runs the same
-        ``_try_complete``/``_complete`` chain.
-        """
-        if not hasattr(ext, "DataDeliver"):
-            return None
-        if type(self) is not DirectoryCacheController:
-            return None
-        if self.unordered_handlers.get(MessageType.DATA) != self._handle_data:
-            return None
-        if not is_pristine(
-            INLINED_PRISTINE,
-            DATA_INLINED_PRISTINE,
-            TRANSACTION_PRISTINE,
-            BLOCK_PRISTINE,
-            ARENA_PRISTINE,
-        ):
-            return None
-        message_arena = (
-            getattr(self.scheduler, "arena", None) if releases_message else None
-        )
-        return ext.DataDeliver(
-            directory=1,
-            controller=self,
-            transactions=self.transactions,
-            blocks=self.blocks._blocks,
-            blocks_lookup=self.blocks.lookup,
-            scheduler=self.scheduler,
-            fallback=self._handle_data,
-            service_deferred=self._service_deferred,
-            miss_record=self._miss_latency_mean.record,
-            system_record=self._system_miss_latency.record,
-            try_complete=self._try_complete,
-            arena_release=(
-                self._arena.release_transaction if self._arena is not None else None
-            ),
-            message_release=(
-                message_arena.release_message if message_arena is not None else None
-            ),
-        )
 
     # ---------------------------------------------------------- ordered path
 
@@ -357,83 +245,3 @@ class DirectoryCacheController(CacheControllerBase):
             self._serve_forward(block, deferred)
         transaction.clear_deferred()
 
-
-#: Captured at import: the methods the compiled DirDeliver entries inline.
-INLINED_PRISTINE = pristine_snapshot(
-    DirectoryCacheController,
-    ("_handle_marker", "_handle_forward", "_try_complete"),
-)
-
-#: The DATA-response chain the compiled ``DataDeliver`` entry inlines end to
-#: end (delivery, ownership install, deferred service trigger, completion).
-DATA_INLINED_PRISTINE = pristine_snapshot(
-    DirectoryCacheController,
-    ("_handle_data", "_finish_gets", "_service_deferred", "_complete"),
-)
-
-#: Captured at import: the unicast send pair the compiled issue chain (send
-#: mode 2) runs entirely in C — the expects-data downgrade, home routing,
-#: pooled message build, unicast count and the unordered network's injection.
-SEND_PRISTINE = pristine_snapshot(
-    DirectoryCacheController,
-    ("_send_request", "_send_writeback"),
-)
-
-
-def compile_issue_send(cache, ext):
-    """``(send_mode, kwargs)`` inlining the unicast send into C, or None.
-
-    Mode 2 replicates :meth:`DirectoryCacheController._send_request` /
-    ``_send_writeback`` + :meth:`UnorderedNetwork.send` for the exact stock
-    shapes only: pristine send pair, stock unordered network with compiled
-    injection entries, the memoised block-interleaved home map, and a stock
-    endpoint link.  Any other shape returns None and the issue chain falls
-    back to send mode 0 — C bookkeeping around the bound Python ``_send_*``
-    methods, faithful by construction.
-    """
-    from ...common.config import SystemConfig  # noqa: PLC0415
-    from ...interconnect.link import EndpointLink  # noqa: PLC0415
-    from ...interconnect.unordered_network import UnorderedNetwork  # noqa: PLC0415
-    from ..base import HOME_OF_PRISTINE, ProtocolController  # noqa: PLC0415
-    from ..dispatch import LINK_PRISTINE, NET_SEND_PRISTINE  # noqa: PLC0415
-    from ..snooping.cache_controller import HOME_PRISTINE  # noqa: PLC0415
-
-    net = cache.interconnect.unordered
-    if type(net) is not UnorderedNetwork:
-        return None
-    send = cache._unordered_send
-    if (
-        getattr(send, "__self__", None) is not net
-        or send.__func__ is not UnorderedNetwork.send
-    ):
-        return None
-    if not is_pristine(
-        SEND_PRISTINE, LINK_PRISTINE, NET_SEND_PRISTINE, HOME_PRISTINE, HOME_OF_PRISTINE
-    ):
-        return None
-    if "home_of" in vars(cache) or type(cache).home_of is not ProtocolController.home_of:
-        return None
-    if net._accel is not ext or type(cache.config) is not SystemConfig:
-        return None
-    pair = net.links.get(cache.node_id)
-    if pair is None or type(pair.outgoing) is not EndpointLink:
-        return None
-    extra = {
-        "net_messages": net._messages_counter,
-        "ctr_unicast": cache._ctr_unicast_requests,
-        "home_memo": cache._home_memo,
-        "home_of": cache.home_of,
-        "data_bytes": cache.config.data_message_bytes,
-        "request_bytes": cache._request_bytes,
-    }
-    for key, kind in (
-        ("push_gets", MessageType.GETS),
-        ("push_getm", MessageType.GETM),
-        ("push_putm", MessageType.PUTM),
-    ):
-        entry = net._inject_entries.get(kind)
-        if entry is None:
-            entry = net._compile_injection(kind)
-        inject_label, relay = entry
-        extra[key] = ext.LinkPush(net.scheduler, pair.outgoing, relay, inject_label)
-    return 2, extra

@@ -23,6 +23,17 @@ delivery fails loudly through the one shared error path (:func:`reject`),
 which every controller and both networks share.  The exhaustiveness test in
 ``tests/protocols/test_dispatch_engine.py`` walks every controller class and
 every message type to pin the handled/rejected split.
+
+The second half of the module selects the compiled fast paths.  When a
+controller runs on a compiled scheduler, :func:`compile_ordered_entry`,
+:func:`compile_unordered_entry`, :func:`compile_sequencer_step` and
+:func:`compile_sample_tick` may return a C object in place of the bound
+Python entry.  Which Python each C type mirrors, and so when a selector must
+decline, is stated once in :mod:`repro._core.manifest`; the checks here are
+only the run-time shapes the table cannot express (prebinds, arena, network
+and link types, policy width).  Every decision is recorded in
+``repro._core.handler_selections()`` so ``repro backend`` shows what ran
+compiled.
 """
 
 from __future__ import annotations
@@ -31,13 +42,32 @@ from typing import Callable, Dict, Mapping, NoReturn
 
 import inspect
 
-from ..coherence.block import CacheBlock
-from ..coherence.cache_state import CacheBlockStore
-from ..coherence.directory import DirectoryEntry
-from ..coherence.transaction import Transaction
+from .. import _core
+from .._core import manifest
+from .._core.manifest import (
+    DATA_DELIVER,
+    DIR_DATA_DELIVER,
+    DIR_DELIVER,
+    HOME_INLINE,
+    HOME_SERVE,
+    ISSUE_BROADCAST,
+    ISSUE_REQUEST,
+    ISSUE_UNICAST,
+    MEM_SERVE,
+    SAMPLE_TICK,
+    SEQUENCER_STEP,
+    SNOOP_DELIVER,
+)
+from ..coherence.transaction import Transaction, _transaction_ids
+from ..common.config import SystemConfig
 from ..errors import ProtocolError
 from ..interconnect.link import EndpointLink
-from ..interconnect.message import DestinationUnit, Message, MessageType
+from ..interconnect.message import (
+    DestinationUnit,
+    Message,
+    MessageType,
+    _message_ids,
+)
 from ..interconnect.ordered_network import TotallyOrderedNetwork
 from ..interconnect.unordered_network import UnorderedNetwork
 from ..sim.arena import SimulationArena
@@ -45,72 +75,6 @@ from ..sim.arena import SimulationArena
 #: A compiled dispatch table: message type -> bound handler.
 HandlerTable = Dict[MessageType, Callable[[Message], None]]
 
-
-def pristine_snapshot(cls, names):
-    """Capture ``(cls, name, attribute)`` triples at import time.
-
-    The compiled delivery objects inline the *semantics* of specific
-    methods rather than calling them, so they must decline whenever one of
-    those methods is no longer the definition the C code mirrors — a
-    subclass override (already excluded by the exact-type checks) or a
-    class-level monkeypatch (bug-injection tests patch hooks like
-    ``_serve_stable`` to corrupt a protocol on purpose; the compiled path
-    must not silently mask the injected bug).  Each protocol module
-    snapshots its inlined hooks right after the class definition;
-    :func:`is_pristine` then compares by identity at compile time.
-    """
-    return tuple((cls, name, getattr(cls, name)) for name in names)
-
-
-def is_pristine(*snapshots) -> bool:
-    """True when every snapshotted attribute is still the captured object."""
-    return all(
-        getattr(cls, name) is attribute
-        for snapshot in snapshots
-        for cls, name, attribute in snapshot
-    )
-
-
-#: Data-layer methods the C fast paths mirror field-for-field.
-TRANSACTION_PRISTINE = pristine_snapshot(
-    Transaction, ("record_marker", "invalidated_after")
-)
-BLOCK_PRISTINE = pristine_snapshot(CacheBlock, ("invalidate", "become_owner"))
-DIR_ENTRY_PRISTINE = pristine_snapshot(
-    DirectoryEntry, ("grant_exclusive", "add_sharer", "is_sufficient")
-)
-
-
-#: The arena release hooks the compiled DATA entry calls as bound methods.
-ARENA_PRISTINE = pristine_snapshot(
-    SimulationArena, ("release_transaction", "release_message")
-)
-
-#: The arena *allocation* hooks the compiled issue chain replaces with C-side
-#: free-list pops (field-for-field identical to the recycled ``__init__``).
-ARENA_ALLOC_PRISTINE = pristine_snapshot(
-    SimulationArena, ("message", "transaction")
-)
-
-#: The block-store probes the compiled SequencerStep inlines (hit test,
-#: fullness, LRU candidate scan, drop).
-STORE_PRISTINE = pristine_snapshot(
-    CacheBlockStore, ("get", "is_full", "eviction_candidate", "drop")
-)
-
-#: The endpoint-link transmit pipeline the C ``LinkPush`` injection objects
-#: inline when the issue chain sends inline (modes 1 and 2).
-LINK_PRISTINE = pristine_snapshot(
-    EndpointLink, ("transmit", "occupancy_cycles")
-)
-
-
-#: The network injection halves the compiled issue chain inlines (modes 1 and
-#: 2 run the ``send`` front half — recipients, counters, transmit, push — in
-#: C).  A class-level patch to either ``send`` keeps the pure issue path.
-NET_SEND_PRISTINE = pristine_snapshot(
-    TotallyOrderedNetwork, ("send",)
-) + pristine_snapshot(UnorderedNetwork, ("send", "_compile_injection"))
 
 #: ``Message.__init__``'s default recipients frozenset — a singleton shared by
 #: every message built without an explicit recipient set.  The C message
@@ -142,49 +106,6 @@ def compile_handlers(
     return table
 
 
-def handler_accelerator(controller):
-    """The extension module when compiled delivery entries apply, else None.
-
-    Compiled handler fast paths are keyed off the controller's *scheduler
-    instance* (exactly like the interconnect's C closures): a controller
-    wired to a compiled scheduler gets C delivery objects, one wired to a
-    pure scheduler keeps the reference Python entries — so pure and
-    compiled systems interoperate in one process.  Additionally requires
-    the handler layer itself (an ``.so`` built before it existed provides
-    only the event core), and injects the protocol singletons the C side
-    compares by identity on first use.
-    """
-    from .. import _core  # noqa: PLC0415 - layer order: dispatch sits above
-
-    scheduler = getattr(controller, "scheduler", None)
-    if scheduler is None:
-        return None
-    ext = _core.accelerator_for(scheduler)
-    if ext is None or not hasattr(ext, "SnoopDeliver"):
-        return None
-    from ..coherence.state import MEMORY_OWNER, MOSIState  # noqa: PLC0415
-
-    ext._init_protocol(
-        MessageType.GETS,
-        MessageType.GETM,
-        MOSIState.MODIFIED,
-        MOSIState.OWNED,
-        MOSIState.SHARED,
-        MOSIState.INVALID,
-        MEMORY_OWNER,
-    )
-    return ext
-
-
-def note_selection(controller: object, msg_type: MessageType, status: str) -> None:
-    """Record a per-handler compile/decline decision in the backend registry."""
-    from .. import _core  # noqa: PLC0415
-
-    _core.note_handler_selection(
-        f"{type(controller).__name__}.{msg_type.name}", status
-    )
-
-
 def reject(controller: object, network: str, message: Message) -> NoReturn:
     """The one shared error path for messages no handler is registered for."""
     raise ProtocolError(
@@ -205,6 +126,321 @@ def rejecter(controller: object, network: str) -> Callable[[Message], None]:
         reject(controller, network, message)
 
     return reject_delivery
+
+
+# ------------------------------------------------------------ compiled paths
+
+
+def _accelerator(owner, row):
+    """The extension module when ``row`` may run for ``owner``, else None.
+
+    Keyed off the owner's *scheduler instance* (exactly like the
+    interconnect's C closures): an owner wired to a compiled scheduler may
+    get C objects, one wired to a pure scheduler keeps the reference Python
+    entries, so pure and compiled systems interoperate in one process.  The
+    extension must also carry the row's C types (an ``.so`` built from an
+    older checkout may provide only some of them).
+    """
+    ext = _core.accelerator_for(getattr(owner, "scheduler", None))
+    if ext is None or not manifest.carries(ext, row):
+        return None
+    return ext
+
+
+def handler_accelerator(controller, row):
+    """:func:`_accelerator` plus the protocol singletons the C side compares."""
+    ext = _accelerator(controller, row)
+    if ext is not None:
+        from ..coherence.state import MEMORY_OWNER, MOSIState  # noqa: PLC0415
+
+        ext._init_protocol(
+            MessageType.GETS,
+            MessageType.GETM,
+            MOSIState.MODIFIED,
+            MOSIState.OWNED,
+            MOSIState.SHARED,
+            MOSIState.INVALID,
+            MEMORY_OWNER,
+        )
+    return ext
+
+
+def note_selection(controller: object, msg_type: MessageType, status: str) -> None:
+    """Record a per-handler compile/decline decision in the backend registry."""
+    _core.note_handler_selection(
+        f"{type(controller).__name__}.{msg_type.name}", status
+    )
+
+
+# ------------------------------------------------------------ handler layer
+
+
+def compile_ordered_entry(controller, msg_type, memory_controller, home_filter):
+    """A C delivery object for one ordered node entry, or None to decline.
+
+    The decline rule is *per handler*: the controller must be a class the
+    row serves exactly, every method the row inlines must be pristine, and
+    the dispatch-table entry must still be the default bound method.  The
+    C objects prebind reset-stable containers (the transaction dict, the
+    block store's raw dict, the node's home memo, the directory's entry
+    dict), so they survive system resets; table swaps go through
+    ``Node.invalidate_dispatch_cache``, which re-runs this selection.
+    """
+    if manifest.serves(SNOOP_DELIVER, controller):
+        return _snoop_entry(controller, msg_type, memory_controller, home_filter)
+    if manifest.serves(DIR_DELIVER, controller):
+        return _directory_entry(controller, msg_type, memory_controller)
+    return None
+
+
+def _snoop_entry(controller, msg_type, memory_controller, home_filter):
+    """``SnoopDeliver``/``PutDeliver`` for a Snooping or BASH node.
+
+    The memory side compiles only for the stock memory controllers; a
+    present-but-custom memory handler stays a Python call behind the C home
+    filter, and systems without a home filter decline entirely.
+    """
+    ext = handler_accelerator(controller, SNOOP_DELIVER)
+    if ext is None:
+        return None
+    if not manifest.is_pristine(SNOOP_DELIVER, controller):
+        note_selection(controller, msg_type, "declined")
+        return None
+    mem_handler = memory_controller.ordered_handlers.get(msg_type)
+    if msg_type is MessageType.PUTM:
+        if controller.ordered_handlers.get(msg_type) != controller._snoop_putm or (
+            mem_handler is not None and home_filter is None
+        ):
+            note_selection(controller, msg_type, "declined")
+            return None
+        note_selection(controller, msg_type, "compiled")
+        return ext.PutDeliver(
+            node_id=controller.node_id,
+            cache_putm=controller._snoop_putm,
+            home_filter=home_filter,
+            is_home_for=memory_controller.is_home_for,
+            mem_handler=mem_handler,
+            **(_home_inline_args(memory_controller) if mem_handler else {}),
+        )
+    if msg_type is not MessageType.GETS and msg_type is not MessageType.GETM:
+        return None
+    if controller.ordered_handlers.get(msg_type) != controller._snoop_request or (
+        mem_handler is not None and home_filter is None
+    ):
+        # A swapped table entry, or no cached home test (the generic
+        # deliver-both path is then the only faithful shape).
+        note_selection(controller, msg_type, "declined")
+        return None
+    if mem_handler is None:
+        mem_mode = 0
+    elif (
+        manifest.is_pristine(HOME_SERVE, memory_controller)
+        and mem_handler == memory_controller._ordered_request
+    ):
+        mem_mode = 2
+    else:
+        # Custom memory controller, swapped table entry, or patched home-serve
+        # hooks: the memory side stays the bound table entry the pure path
+        # would call, behind the C home filter.
+        mem_mode = 1
+    from .bash.cache_controller import BashCacheController  # noqa: PLC0415
+    from .bash.memory_controller import BashMemoryController  # noqa: PLC0415
+
+    note_selection(controller, msg_type, "compiled")
+    home_serve = mem_mode == 2
+    directory = memory_controller.directory if home_serve else None
+    return ext.SnoopDeliver(
+        kind=msg_type,
+        node_id=controller.node_id,
+        bash=type(controller) is BashCacheController,
+        controller=controller,
+        transactions=controller.transactions,
+        blocks=controller.blocks._blocks,
+        blocks_lookup=controller.blocks.lookup,
+        handle_other=controller._handle_other_request,
+        finish_getm=controller._finish_getm,
+        own_sufficient=controller._own_request_sufficient,
+        mem_mode=mem_mode,
+        mem_bash=home_serve and type(memory_controller) is BashMemoryController,
+        home_filter=home_filter,
+        is_home_for=memory_controller.is_home_for,
+        mem_handler=mem_handler,
+        mem_controller=memory_controller if home_serve else None,
+        dir_entries=directory._entries if home_serve else None,
+        dir_lookup=directory.lookup if home_serve else None,
+        completer=_data_deliver(controller),
+        mem_serve=_mem_serve(memory_controller, ext) if home_serve else None,
+        **(_home_inline_args(memory_controller) if mem_mode else {}),
+    )
+
+
+def _directory_entry(controller, msg_type, memory_controller):
+    """``DirDeliver`` for a Directory node's MARKER / forwarded requests.
+
+    The Directory home consumes nothing ordered, so a memory controller that
+    *does* register an ordered handler for the type means a customised
+    system.  PUT_ACK/PUT_NACK stay pure (rare, and they complete
+    writebacks).
+    """
+    ext = handler_accelerator(controller, DIR_DELIVER)
+    if ext is None or memory_controller.ordered_handlers.get(msg_type) is not None:
+        return None
+    if not manifest.is_pristine(DIR_DELIVER, controller):
+        note_selection(controller, msg_type, "declined")
+        return None
+    if msg_type is MessageType.MARKER:
+        expected, forward = controller._handle_marker, 0
+    elif msg_type in (MessageType.FWD_GETS, MessageType.FWD_GETM):
+        expected, forward = controller._handle_forward, 1
+    else:
+        return None
+    if controller.ordered_handlers.get(msg_type) != expected:
+        note_selection(controller, msg_type, "declined")
+        return None
+    note_selection(controller, msg_type, "compiled")
+    return ext.DirDeliver(
+        forward=forward,
+        node_id=controller.node_id,
+        controller=controller,
+        transactions=controller.transactions,
+        try_complete=controller._try_complete,
+        handle_other=controller._handle_other_forward if forward else None,
+        completer=_data_deliver(controller),
+    )
+
+
+def compile_unordered_entry(controller, msg_type):
+    """A C delivery object for a cache controller's DATA entry, or None.
+
+    The returned object carries ``releases_message=True``, folding the
+    unordered network's deliver-and-release arena wrapper into the C call
+    (a DATA response is point-to-point: exactly one delivery).
+    """
+    scheduler = getattr(controller, "scheduler", None)
+    if msg_type is not MessageType.DATA or _core.accelerator_for(scheduler) is None:
+        return None
+    deliver = _data_deliver(controller, releases_message=True)
+    note_selection(controller, msg_type, "declined" if deliver is None else "compiled")
+    return deliver
+
+
+def _data_deliver(controller, releases_message=False):
+    """A ``DataDeliver`` for this controller, or None on any customisation.
+
+    Shared by the unordered DATA entry and, as the ordered entries'
+    ``completer``, the marker-side completion, which runs the same
+    ``_complete`` chain.  The stat handles and arena releases are prebound
+    bound methods: both survive system resets (``RunningMean.reset``
+    re-initialises in place, the arena re-pools through ``__init__``).
+    """
+    if manifest.serves(DATA_DELIVER, controller):
+        row = DATA_DELIVER
+    elif manifest.serves(DIR_DATA_DELIVER, controller):
+        row = DIR_DATA_DELIVER
+    else:
+        return None
+    ext = handler_accelerator(controller, row)
+    if (
+        ext is None
+        or controller.unordered_handlers.get(MessageType.DATA)
+        != controller._handle_data
+        or not manifest.is_pristine(row, controller)
+    ):
+        return None
+    directory = row is DIR_DATA_DELIVER
+    arena = controller._arena
+    message_arena = (
+        getattr(controller.scheduler, "arena", None) if releases_message else None
+    )
+    return ext.DataDeliver(
+        directory=int(directory),
+        controller=controller,
+        transactions=controller.transactions,
+        blocks=controller.blocks._blocks,
+        blocks_lookup=controller.blocks.lookup,
+        scheduler=controller.scheduler,
+        fallback=controller._handle_data,
+        service_deferred=controller._service_deferred,
+        miss_record=controller._miss_latency_mean.record,
+        system_record=controller._system_miss_latency.record,
+        try_complete=controller._try_complete if directory else None,
+        arena_release=arena.release_transaction if arena is not None else None,
+        message_release=(
+            message_arena.release_message if message_arena is not None else None
+        ),
+    )
+
+
+def _home_inline_args(memory_controller):
+    """Kwargs compiling the stock block-interleaved home test into C.
+
+    Empty, keeping the memoised ``is_home_for`` fallback, unless the memory
+    controller and its config are stock and pristine.
+    """
+    config = memory_controller.config
+    if type(config) is SystemConfig and manifest.is_pristine(
+        HOME_INLINE, memory_controller
+    ):
+        return {
+            "home_inline": 1,
+            "block_bytes": config.cache_block_bytes,
+            "num_procs": config.num_processors,
+        }
+    return {}
+
+
+def _mem_serve(memory_controller, ext):
+    """A C ``MemServe`` data-serve entry for the home memory, or None.
+
+    Replaces the Python re-entry of the memory-is-owner DATA reply: the C
+    object mirrors :meth:`MemoryControllerBase._send_data` (pooled message
+    build, the ``data_responses``/``memory_responses`` counts and the
+    DRAM-delayed unordered send) while the directory bookkeeping stays in
+    the compiled handler.  Only offered for the exact stock memory
+    controller shape; any customisation keeps the per-message Python call.
+    """
+    mem = memory_controller
+    if (
+        not manifest.carries(ext, MEM_SERVE)
+        or not manifest.is_pristine(MEM_SERVE, mem)
+        or manifest.hooked(MEM_SERVE, mem)
+        or "_unordered_send" not in vars(mem)
+        or mem._schedule_after_fast1 != mem.scheduler.schedule_after_fast1
+        or not _stock_allocation(mem, ("message", Message))
+    ):
+        return None
+    inject_issue_singletons(ext)
+    return ext.MemServe(
+        controller=mem,
+        scheduler=mem.scheduler,
+        src=mem.node_id,
+        unordered_send=mem._unordered_send,
+        data_label=mem._memory_data_label,
+        msg_cls=Message,
+        msg_id_next=_message_ids.__next__,
+        msg_pool=mem._arena._messages if mem._arena is not None else None,
+    )
+
+
+def _stock_allocation(controller, *kinds) -> bool:
+    """True when every ``_new_<kind>`` allocator is one the C side mirrors.
+
+    That is the plain constructor without an arena, or the stock arena's own
+    method, whose free list the C side then pops directly.
+    """
+    arena = controller._arena
+    for kind, cls in kinds:
+        new = getattr(controller, f"_new_{kind}")
+        if arena is None:
+            if new is not cls:
+                return False
+        elif (
+            type(arena) is not SimulationArena
+            or getattr(new, "__self__", None) is not arena
+            or new.__func__ is not getattr(SimulationArena, kind)
+        ):
+            return False
+    return True
 
 
 # --------------------------------------------------------------- issue chain
@@ -234,51 +470,9 @@ def inject_issue_singletons(ext) -> None:
     )
 
 
-def issue_accelerator(sequencer):
-    """The extension module when the compiled issue chain applies, else None.
-
-    Mirrors :func:`handler_accelerator`: keyed off the sequencer's scheduler
-    *instance*, requires the extension to carry the issue layer (an ``.so``
-    built before ``SequencerStep`` existed provides only the earlier
-    components), and injects the singletons the C side compares by identity.
-    """
-    from .. import _core  # noqa: PLC0415 - layer order: dispatch sits above
-
-    scheduler = getattr(sequencer, "scheduler", None)
-    if scheduler is None:
-        return None
-    ext = _core.accelerator_for(scheduler)
-    if ext is None or not hasattr(ext, "SequencerStep"):
-        return None
-    inject_issue_singletons(ext)
-    return ext
-
-
 def note_issue_selection(sequencer, status: str) -> None:
     """Record one per-node issue-chain compile/decline decision."""
-    from .. import _core  # noqa: PLC0415
-
     _core.note_handler_selection(f"Sequencer{sequencer.node_id}.step", status)
-
-
-#: Methods whose presence in an *instance* dict means the node was
-#: customised by hand (tests monkeypatch bound hooks this way): the compiled
-#: step would bypass the patch, so the pure path stays authoritative.
-_SEQUENCER_LOCAL_HOOKS = (
-    "_perform",
-    "_fetch_next",
-    "_finish_stream",
-    "_complete_hit",
-    "_complete_miss",
-    "_account",
-    "_maybe_evict",
-)
-_CACHE_LOCAL_HOOKS = (
-    "issue_request",
-    "issue_writeback",
-    "_send_request",
-    "_send_writeback",
-)
 
 
 def compile_sequencer_step(sequencer):
@@ -288,68 +482,35 @@ def compile_sequencer_step(sequencer):
     delivery entry for one node: block probe, hit test, eviction, the
     GETS/GETM/PUTM issue (transaction allocation, MSHR insert, counters,
     message build and network injection) and the completion/refetch
-    bookkeeping all run in C.  Selection follows the compiled-handler
-    contract: per node, stock classes with pristine methods only, with the
-    pure implementation remaining the executable specification — any unusual
-    shape (subclass, instance patch, swapped workload entry point, non-stock
-    arena or network) declines to the pure path for that node, recorded via
-    :func:`note_issue_selection`.
+    bookkeeping all run in C.  It mirrors two objects, the sequencer
+    (``SEQUENCER_STEP``) and its cache controller (``ISSUE_REQUEST``); any
+    unusual shape of either (subclass, class or instance patch, swapped
+    workload entry point, non-stock arena or network) declines to the pure
+    path for that node, recorded via :func:`note_issue_selection`.
 
     Called from ``Sequencer.start`` once per run, so constants baked into the
     C object (capacity, block size, message sizes) are re-derived after every
     reset.
     """
-    ext = issue_accelerator(sequencer)
+    ext = _accelerator(sequencer, SEQUENCER_STEP)
     if ext is None:
         return None
-    from ..system.sequencer import SEQUENCER_PRISTINE, Sequencer  # noqa: PLC0415
+    inject_issue_singletons(ext)
     from ..workloads.base import Workload  # noqa: PLC0415
-    from .base import ISSUE_PRISTINE, CacheControllerBase  # noqa: PLC0415
-    from .bash.cache_controller import BashCacheController  # noqa: PLC0415
-    from .directory.cache_controller import (  # noqa: PLC0415
-        DirectoryCacheController,
-        compile_issue_send as directory_issue_send,
-    )
-    from .snooping.cache_controller import (  # noqa: PLC0415
-        SnoopingCacheController,
-        compile_issue_send as snooping_issue_send,
-    )
 
     def decline():
         note_issue_selection(sequencer, "declined")
         return None
 
-    if type(sequencer) is not Sequencer:
-        return decline()
-    sequencer_vars = vars(sequencer)
-    if any(name in sequencer_vars for name in _SEQUENCER_LOCAL_HOOKS):
-        return decline()
     cache = sequencer.cache
-    cache_vars = vars(cache)
-    if any(name in cache_vars for name in _CACHE_LOCAL_HOOKS):
-        return decline()
     workload = sequencer.workload
-    if "next_operation" in vars(workload) or "on_complete" in vars(workload):
-        return decline()
-    cache_cls = type(cache)
-    if cache_cls not in (
-        SnoopingCacheController,
-        BashCacheController,
-        DirectoryCacheController,
-    ):
-        return decline()
     if (
-        cache_cls.issue_request is not CacheControllerBase.issue_request
-        or cache_cls.issue_writeback is not CacheControllerBase.issue_writeback
-        or cache_cls.has_outstanding is not CacheControllerBase.has_outstanding
-    ):
-        return decline()
-    if not is_pristine(
-        SEQUENCER_PRISTINE,
-        ISSUE_PRISTINE,
-        STORE_PRISTINE,
-        TRANSACTION_PRISTINE,
-        BLOCK_PRISTINE,
+        not manifest.is_pristine(SEQUENCER_STEP, sequencer)
+        or not manifest.is_pristine(ISSUE_REQUEST, cache)
+        or manifest.hooked(SEQUENCER_STEP, sequencer)
+        or manifest.hooked(ISSUE_REQUEST, cache)
+        or "next_operation" in vars(workload)
+        or "on_complete" in vars(workload)
     ):
         return decline()
     scheduler = sequencer.scheduler
@@ -377,37 +538,13 @@ def compile_sequencer_step(sequencer):
         return decline()
     # Allocation: either the stock arena's free lists (popped C-side) or the
     # plain constructors; anything else keeps the pure issue path.
+    if not _stock_allocation(cache, ("transaction", Transaction), ("message", Message)):
+        return decline()
     arena = cache._arena
-    if arena is not None:
-        if type(arena) is not SimulationArena or not is_pristine(
-            ARENA_ALLOC_PRISTINE
-        ):
-            return decline()
-        if (
-            getattr(cache._new_transaction, "__self__", None) is not arena
-            or cache._new_transaction.__func__ is not SimulationArena.transaction
-            or getattr(cache._new_message, "__self__", None) is not arena
-            or cache._new_message.__func__ is not SimulationArena.message
-        ):
-            return decline()
-        txn_pool = arena._transactions
-        msg_pool = arena._messages
-    else:
-        if (
-            cache._new_transaction is not Transaction
-            or cache._new_message is not Message
-        ):
-            return decline()
-        txn_pool = msg_pool = None
     # Protocol-specific send inlining: mode 1 (snooping broadcast) or mode 2
     # (directory unicast) when the whole send pipeline is stock, else mode 0
-    # (C bookkeeping, bound Python _send_* call — always faithful).
-    if cache_cls is SnoopingCacheController:
-        send = snooping_issue_send(cache, ext)
-    elif cache_cls is DirectoryCacheController:
-        send = directory_issue_send(cache, ext)
-    else:
-        send = None  # BASH: dualcast policy stays in Python (mode 0)
+    # (C bookkeeping, bound Python _send_* call: always faithful).
+    send = _broadcast_send(cache, ext) or _unicast_send(cache, ext)
     send_mode, extra = send if send is not None else (0, {})
     # The directory controller prebinds its request size at construction;
     # its helper supplies that binding so the compiled build matches it.
@@ -417,9 +554,6 @@ def compile_sequencer_step(sequencer):
     on_complete = sequencer._on_complete
     if type(workload).on_complete is Workload.on_complete:
         on_complete = None
-    from ..coherence.transaction import _transaction_ids  # noqa: PLC0415
-    from ..interconnect.message import _message_ids  # noqa: PLC0415
-
     step = ext.SequencerStep(
         sequencer=sequencer,
         scheduler=scheduler,
@@ -452,12 +586,109 @@ def compile_sequencer_step(sequencer):
         request_bytes=request_bytes,
         send_mode=send_mode,
         on_complete=on_complete,
-        txn_pool=txn_pool,
-        msg_pool=msg_pool,
+        txn_pool=arena._transactions if arena is not None else None,
+        msg_pool=arena._messages if arena is not None else None,
         **extra,
     )
     note_issue_selection(sequencer, "compiled")
     return step
+
+
+def _broadcast_send(cache, ext):
+    """``(1, kwargs)`` inlining Snooping's broadcast send into C, or None.
+
+    Mode 1 replicates ``_send_request``/``_send_writeback`` plus
+    :meth:`TotallyOrderedNetwork.send` for the exact stock shapes only:
+    pristine send pipeline, stock network with unit broadcast cost, the
+    full-node recipient set, and a stock endpoint link (whose transmit the
+    prebuilt ``LinkPush`` objects inline).  Any other shape returns None and
+    the issue chain falls back to send mode 0.
+    """
+    if not manifest.is_pristine(ISSUE_BROADCAST, cache):
+        return None
+    net = cache.interconnect.ordered
+    send = cache._ordered_send
+    if (
+        type(net) is not TotallyOrderedNetwork
+        or getattr(send, "__self__", None) is not net
+        or send.__func__ is not TotallyOrderedNetwork.send
+        or net.broadcast_cost_factor != 1.0
+        or net._accel is not ext
+    ):
+        return None
+    all_nodes = cache.interconnect.all_nodes
+    if type(all_nodes) is not frozenset or all_nodes != net._node_ids:
+        return None
+    pair = net.links.get(cache.node_id)
+    if pair is None or type(pair.outgoing) is not EndpointLink:
+        return None
+    labels = net._inject_labels
+    extra = {
+        "all_nodes": all_nodes,
+        "net_messages": net._messages_counter,
+        "net_broadcasts": net._broadcasts_counter,
+    }
+    for key, kind in (
+        ("push_gets", MessageType.GETS),
+        ("push_getm", MessageType.GETM),
+        ("push_putm", MessageType.PUTM),
+    ):
+        label = labels.get(kind)
+        if label is None:
+            # Fill the network's own memo so pure and compiled sends of this
+            # type share the one label object.
+            label = labels[kind] = f"ordered-inject:{kind}"
+        extra[key] = ext.LinkPush(
+            net.scheduler, pair.outgoing, net._enter_switch_callback, label
+        )
+    return 1, extra
+
+
+def _unicast_send(cache, ext):
+    """``(2, kwargs)`` inlining Directory's unicast send into C, or None.
+
+    Mode 2 replicates ``_send_request``/``_send_writeback`` plus
+    :meth:`UnorderedNetwork.send` for the exact stock shapes only: pristine
+    send pair, stock unordered network with compiled injection entries, the
+    memoised block-interleaved home map, and a stock endpoint link.  Any
+    other shape returns None and the issue chain falls back to send mode 0.
+    """
+    if not manifest.is_pristine(ISSUE_UNICAST, cache) or manifest.hooked(
+        ISSUE_UNICAST, cache
+    ):
+        return None
+    net = cache.interconnect.unordered
+    send = cache._unordered_send
+    if (
+        type(net) is not UnorderedNetwork
+        or getattr(send, "__self__", None) is not net
+        or send.__func__ is not UnorderedNetwork.send
+        or net._accel is not ext
+        or type(cache.config) is not SystemConfig
+    ):
+        return None
+    pair = net.links.get(cache.node_id)
+    if pair is None or type(pair.outgoing) is not EndpointLink:
+        return None
+    extra = {
+        "net_messages": net._messages_counter,
+        "ctr_unicast": cache._ctr_unicast_requests,
+        "home_memo": cache._home_memo,
+        "home_of": cache.home_of,
+        "data_bytes": cache.config.data_message_bytes,
+        "request_bytes": cache._request_bytes,
+    }
+    for key, kind in (
+        ("push_gets", MessageType.GETS),
+        ("push_getm", MessageType.GETM),
+        ("push_putm", MessageType.PUTM),
+    ):
+        entry = net._inject_entries.get(kind)
+        if entry is None:
+            entry = net._compile_injection(kind)
+        inject_label, relay = entry
+        extra[key] = ext.LinkPush(net.scheduler, pair.outgoing, relay, inject_label)
+    return 2, extra
 
 
 # ---------------------------------------------------------- adaptive sampling
@@ -466,15 +697,9 @@ def compile_sequencer_step(sequencer):
 #: wider counters keep the Python tick and its big-int arithmetic.
 MAX_COMPILED_POLICY_BITS = 62
 
-#: Controller methods whose presence in an *instance* dict keeps the pure
-#: tick (same rule as :data:`_SEQUENCER_LOCAL_HOOKS`).
-_SAMPLE_LOCAL_HOOKS = ("_sample_utilization", "_schedule_sampling")
-
 
 def note_sample_selection(status: str) -> None:
     """Record one controller's sampling-tick compile/decline decision."""
-    from .. import _core  # noqa: PLC0415
-
     _core.note_handler_selection("BashCacheController.SAMPLE", status)
 
 
@@ -487,20 +712,16 @@ def compile_sample_tick(controller):
     appended ``AdaptiveSample``), the three ``RunningMean.record`` updates
     and the reschedule all run in one C call, reading and writing the same
     attributes and slots the pure method does.  Selection follows the
-    compiled-handler contract: exact stock classes with pristine methods
-    only (``SAMPLE_PRISTINE``), no instance-level patches, and a policy
-    counter of at most :data:`MAX_COMPILED_POLICY_BITS` bits; anything else
-    keeps the Python tick, recorded via :func:`note_sample_selection`.
+    ``SAMPLE_TICK`` manifest row plus a policy counter of at most
+    :data:`MAX_COMPILED_POLICY_BITS` bits; anything else keeps the Python
+    tick, recorded via :func:`note_sample_selection`.
 
     Called by ``_schedule_sampling`` at construction and on every
     ``reset_state``, because ``adaptive.reset()`` replaces the counters and
     history the tick binds.
     """
-    from .. import _core  # noqa: PLC0415 - layer order: dispatch sits above
-
-    scheduler = controller.scheduler
-    ext = _core.accelerator_for(scheduler)
-    if ext is None or not hasattr(ext, "SampleTick"):
+    ext = _accelerator(controller, SAMPLE_TICK)
+    if ext is None:
         return None
     from ..common.counters import UnsignedSaturatingCounter  # noqa: PLC0415
     from ..common.stats import RunningMean  # noqa: PLC0415
@@ -508,15 +729,8 @@ def compile_sample_tick(controller):
         AdaptiveSample,
         BandwidthAdaptiveMechanism,
     )
-    from .bash.cache_controller import (  # noqa: PLC0415
-        SAMPLE_PRISTINE,
-        BashCacheController,
-    )
 
-    def decline():
-        note_sample_selection("declined")
-        return None
-
+    scheduler = controller.scheduler
     adaptive = controller.adaptive
     links = (controller._link_pair.incoming, controller._link_pair.outgoing)
     means = (
@@ -525,31 +739,27 @@ def compile_sample_tick(controller):
         controller._sys_unicast_probability,
     )
     interval = controller._sampling_interval
+    # Hand-patched instances, or prebinds re-pointed away from the objects
+    # the C tick reads, leave the pure tick as the only faithful shape.
     if (
-        type(controller) is not BashCacheController
+        not manifest.is_pristine(SAMPLE_TICK, controller)
+        or manifest.hooked(SAMPLE_TICK, controller)
         or type(adaptive) is not BandwidthAdaptiveMechanism
         or type(adaptive.policy_counter) is not UnsignedSaturatingCounter
         or any(type(mean) is not RunningMean for mean in means)
         or any(type(link) is not EndpointLink for link in links)
-        or not is_pristine(SAMPLE_PRISTINE)
         or adaptive.policy_counter.bits > MAX_COMPILED_POLICY_BITS
         or type(interval) is not int
         or not 0 < interval <= 2**53
-    ):
-        return decline()
-    # Hand-patched instances, or prebinds re-pointed away from the objects
-    # the C tick reads, leave the pure tick as the only faithful shape.
-    state = vars(controller)
-    if (
-        any(name in state for name in _SAMPLE_LOCAL_HOOKS)
         or "observe_window" in vars(adaptive)
         or controller._observe_window != adaptive.observe_window
         or controller._schedule_after_fast != scheduler.schedule_after_fast
     ):
-        return decline()
+        note_sample_selection("declined")
+        return None
     tick = ext.SampleTick(
         scheduler=scheduler,
-        state=state,
+        state=vars(controller),
         mechanism=vars(adaptive),
         pure_tick=controller._sample_utilization,
         label=controller._sampling_label,

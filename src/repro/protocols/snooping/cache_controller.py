@@ -20,20 +20,9 @@ from __future__ import annotations
 from ...coherence.block import CacheBlock
 from ...coherence.state import MOSIState
 from ...coherence.transaction import Transaction
-from ...common.config import SystemConfig
 from ...errors import ProtocolError
-from ...interconnect.message import DestinationUnit, Message, MessageType, _message_ids
-from ..base import CacheControllerBase, MemoryControllerBase
-from ..dispatch import (
-    ARENA_PRISTINE,
-    BLOCK_PRISTINE,
-    DIR_ENTRY_PRISTINE,
-    TRANSACTION_PRISTINE,
-    handler_accelerator,
-    is_pristine,
-    note_selection,
-    pristine_snapshot,
-)
+from ...interconnect.message import DestinationUnit, Message, MessageType
+from ..base import CacheControllerBase
 
 
 class SnoopingCacheController(CacheControllerBase):
@@ -47,274 +36,6 @@ class SnoopingCacheController(CacheControllerBase):
     UNORDERED_HANDLERS = {
         MessageType.DATA: "_handle_data",
     }
-
-    # --------------------------------------------------- compiled delivery
-
-    def compile_accelerated_ordered(self, msg_type, memory_controller, home_filter):
-        """A C delivery object for one ordered entry, or None to decline.
-
-        Only offered when this controller's scheduler is a compiled
-        instance and the extension carries the handler layer; within that,
-        the decline rule is *per handler* and strictly more conservative
-        than :meth:`compile_fused_ordered`'s: the controller must be an
-        exact Snooping/BASH class (subclasses may override any hook the C
-        code inlines) and the dispatch-table entry must still be the
-        default bound method.  The memory side compiles only for the exact
-        stock memory controllers; a present-but-custom memory handler is
-        kept as a Python call behind the C home filter, and systems
-        without a home filter decline entirely.  Every decision is
-        recorded via :func:`repro.protocols.dispatch.note_selection` so
-        ``repro backend`` can show what actually ran compiled.
-
-        The C objects prebind the same reset-stable containers as the
-        fused closures (the transaction dict, the block store's raw dict,
-        the node's home memo, the directory's entry dict), so they survive
-        system resets; table swaps go through
-        ``Node.invalidate_dispatch_cache`` which recompiles and re-runs
-        this selection.
-        """
-        ext = handler_accelerator(self)
-        if ext is None:
-            return None
-        from ..bash.cache_controller import (  # noqa: PLC0415 - cycle guard
-            INLINED_PRISTINE as BASH_INLINED,
-            BashCacheController,
-        )
-        from ..bash.memory_controller import BashMemoryController  # noqa: PLC0415
-        from .memory_controller import SnoopingMemoryController  # noqa: PLC0415
-
-        if type(self) is BashCacheController:
-            bash = True
-            inlined = BASH_INLINED
-        elif type(self) is SnoopingCacheController:
-            bash = False
-            inlined = INLINED_PRISTINE
-        else:
-            return None  # unknown subclass: its overrides stay authoritative
-        if not is_pristine(inlined, TRANSACTION_PRISTINE, BLOCK_PRISTINE):
-            # One of the methods the C code inlines has been patched on the
-            # class (bug-injection tests do this on purpose): the pure path
-            # is the only faithful one.
-            note_selection(self, msg_type, "declined")
-            return None
-        if msg_type is MessageType.PUTM:
-            if self.ordered_handlers.get(msg_type) != self._snoop_putm:
-                note_selection(self, msg_type, "declined")
-                return None
-            mem_handler = memory_controller.ordered_handlers.get(msg_type)
-            if mem_handler is not None and home_filter is None:
-                note_selection(self, msg_type, "declined")
-                return None
-            note_selection(self, msg_type, "compiled")
-            return ext.PutDeliver(
-                node_id=self.node_id,
-                cache_putm=self._snoop_putm,
-                home_filter=home_filter,
-                is_home_for=memory_controller.is_home_for,
-                mem_handler=mem_handler,
-                **(_home_inline_args(memory_controller) if mem_handler else {}),
-            )
-        if msg_type is not MessageType.GETS and msg_type is not MessageType.GETM:
-            return None
-        if self.ordered_handlers.get(msg_type) != self._snoop_request:
-            note_selection(self, msg_type, "declined")
-            return None
-        mem_handler = memory_controller.ordered_handlers.get(msg_type)
-        if mem_handler is None:
-            mem_mode = 0
-        elif home_filter is None:
-            # No cached home test: the generic deliver-both path is the
-            # only faithful shape, so decline the whole entry.
-            note_selection(self, msg_type, "declined")
-            return None
-        else:
-            from ..bash.memory_controller import (  # noqa: PLC0415
-                INLINED_PRISTINE as BASH_MEM_INLINED,
-            )
-            from .memory_controller import (  # noqa: PLC0415
-                INLINED_PRISTINE as SNOOPING_MEM_INLINED,
-            )
-
-            if type(memory_controller) is SnoopingMemoryController:
-                mem_inlined = SNOOPING_MEM_INLINED
-            elif type(memory_controller) is BashMemoryController:
-                mem_inlined = BASH_MEM_INLINED
-            else:
-                mem_inlined = None
-            if (
-                mem_inlined is not None
-                and mem_handler == memory_controller._ordered_request
-                and is_pristine(mem_inlined, DIR_ENTRY_PRISTINE)
-            ):
-                mem_mode = 2
-            else:
-                # Custom memory controller, swapped table entry, or patched
-                # home-serve hooks: keep the memory side as a Python call
-                # behind the C home filter (always faithful — it is the same
-                # bound table entry the pure path would call).
-                mem_mode = 1
-        note_selection(self, msg_type, "compiled")
-        mem_bash = type(memory_controller) is BashMemoryController
-        return ext.SnoopDeliver(
-            kind=msg_type,
-            node_id=self.node_id,
-            bash=bash,
-            controller=self,
-            transactions=self.transactions,
-            blocks=self.blocks._blocks,
-            blocks_lookup=self.blocks.lookup,
-            handle_other=self._handle_other_request,
-            finish_getm=self._finish_getm,
-            own_sufficient=self._own_request_sufficient,
-            mem_mode=mem_mode,
-            mem_bash=mem_bash if mem_mode == 2 else 0,
-            home_filter=home_filter,
-            is_home_for=memory_controller.is_home_for,
-            mem_handler=mem_handler,
-            mem_controller=memory_controller if mem_mode == 2 else None,
-            dir_entries=memory_controller.directory._entries if mem_mode == 2 else None,
-            dir_lookup=memory_controller.directory.lookup if mem_mode == 2 else None,
-            completer=self._compiled_data_deliver(ext),
-            mem_serve=(
-                compile_mem_serve(memory_controller, ext)
-                if mem_mode == 2 and not mem_bash
-                else None
-            ),
-            **(_home_inline_args(memory_controller) if mem_mode else {}),
-        )
-
-    def compile_accelerated_unordered(self, msg_type):
-        """A C delivery object for the unordered DATA entry, or None.
-
-        Same per-handler decline rule as the ordered selection; the
-        returned object carries ``releases_message=True``, folding the
-        unordered network's deliver-and-release arena wrapper into the C
-        call (a DATA response is point-to-point: exactly one delivery).
-        """
-        if msg_type is not MessageType.DATA:
-            return None
-        ext = handler_accelerator(self)
-        if ext is None:
-            return None
-        deliver = self._compiled_data_deliver(ext, releases_message=True)
-        if deliver is None:
-            note_selection(self, msg_type, "declined")
-            return None
-        note_selection(self, msg_type, "compiled")
-        return deliver
-
-    def _compiled_data_deliver(self, ext, releases_message=False):
-        """A ``DataDeliver`` for this controller, or None on any customisation.
-
-        Shared by the unordered DATA entry and — as the ordered entries'
-        ``completer`` — the upgrade-at-marker completion, which runs the
-        same ``_finish_getm``/``_complete`` chain.  The stat handles and
-        arena releases are prebound bound methods: both survive system
-        resets (``RunningMean.reset`` re-initialises in place, the arena
-        re-pools through ``__init__``).
-        """
-        if not hasattr(ext, "DataDeliver"):
-            return None
-        from ..bash.cache_controller import (  # noqa: PLC0415 - cycle guard
-            DATA_INLINED_PRISTINE as BASH_DATA_INLINED,
-            BashCacheController,
-        )
-
-        if type(self) is BashCacheController:
-            inlined = BASH_DATA_INLINED
-        elif type(self) is SnoopingCacheController:
-            inlined = DATA_INLINED_PRISTINE
-        else:
-            return None
-        if self.unordered_handlers.get(MessageType.DATA) != self._handle_data:
-            return None
-        if not is_pristine(
-            inlined,
-            TRANSACTION_PRISTINE,
-            BLOCK_PRISTINE,
-            ARENA_PRISTINE,
-        ):
-            return None
-        message_arena = (
-            getattr(self.scheduler, "arena", None) if releases_message else None
-        )
-        return ext.DataDeliver(
-            directory=0,
-            controller=self,
-            transactions=self.transactions,
-            blocks=self.blocks._blocks,
-            blocks_lookup=self.blocks.lookup,
-            scheduler=self.scheduler,
-            fallback=self._handle_data,
-            service_deferred=self._service_deferred,
-            miss_record=self._miss_latency_mean.record,
-            system_record=self._system_miss_latency.record,
-            arena_release=(
-                self._arena.release_transaction if self._arena is not None else None
-            ),
-            message_release=(
-                message_arena.release_message if message_arena is not None else None
-            ),
-        )
-
-    # ------------------------------------------------------- fused delivery
-
-    def compile_fused_ordered(self, msg_type, memory_handler, home_filter, is_home_for):
-        """One closure running snoop early-out + home-filtered memory handling.
-
-        A broadcast fans out to every node, so the per-delivery frames are the
-        hottest code in the repository: this folds :meth:`_snoop_request` and
-        the node's home-filtered memory dispatch into a single callable with
-        prebound dict accessors.  Only compiled when the dispatch table still
-        routes GETS/GETM to the default snoop handler (tests that swap
-        handler tables keep the generic table-driven path).  The prebound
-        ``.get``\\ s target dicts that every reset clears *in place*, so the
-        closure survives system resets.
-        """
-        if msg_type is not MessageType.GETS and msg_type is not MessageType.GETM:
-            return None
-        if self.ordered_handlers.get(msg_type) != self._snoop_request:
-            return None
-        node_id = self.node_id
-        transactions_get = self.transactions.get
-        blocks_get = self.blocks._blocks.get  # raw dict: cleared in place on reset
-        handle_own = self._handle_own_request
-        handle_other = self._handle_other_request
-        if memory_handler is None:
-
-            def snoop_only(message: Message) -> None:
-                if message.requester == node_id:
-                    handle_own(message)
-                    return
-                address = message.address
-                transaction = transactions_get(address)
-                if blocks_get(address) is None and (
-                    transaction is None or transaction.completed
-                ):
-                    return
-                handle_other(message)
-
-            return snoop_only
-
-        home_filter_get = home_filter.get
-
-        def snoop_and_home(message: Message) -> None:
-            address = message.address
-            if message.requester == node_id:
-                handle_own(message)
-            else:
-                transaction = transactions_get(address)
-                if blocks_get(address) is not None or (
-                    transaction is not None and not transaction.completed
-                ):
-                    handle_other(message)
-            home = home_filter_get(address)
-            if home is None:
-                home = home_filter[address] = is_home_for(address)
-            if home:
-                memory_handler(message)
-
-        return snoop_and_home
 
     # ------------------------------------------------------------- sending
 
@@ -618,185 +339,3 @@ class SnoopingCacheController(CacheControllerBase):
             self._serve_stable(block, deferred)
         transaction.clear_deferred()
 
-
-#: Captured at import: the methods the compiled delivery objects inline
-#: (see ``pristine_snapshot`` in repro.protocols.dispatch).  A class-level
-#: patch to any of these makes ``compile_accelerated_ordered`` decline.
-INLINED_PRISTINE = pristine_snapshot(
-    SnoopingCacheController,
-    (
-        "_snoop_request",
-        "_snoop_putm",
-        "_handle_own_request",
-        "_try_complete_at_marker",
-        "_own_request_sufficient",
-        "_serve_stable",
-    ),
-)
-
-#: The DATA-response chain the compiled ``DataDeliver`` entry inlines end to
-#: end (delivery, block install, deferred service trigger, completion).  A
-#: class-level patch to any of these keeps the pure DATA path — without
-#: touching the ordered entries' selection.
-DATA_INLINED_PRISTINE = pristine_snapshot(
-    SnoopingCacheController,
-    ("_handle_data", "_finish_getm", "_finish_gets", "_service_deferred", "_complete"),
-)
-
-#: The home test the C delivery objects may reduce to plain arithmetic:
-#: ``(address // cache_block_bytes) % num_processors == node_id``.  Any patch
-#: to the memoised test or the interleaving keeps the Python memo path.
-HOME_PRISTINE = pristine_snapshot(
-    MemoryControllerBase, ("is_home_for",)
-) + pristine_snapshot(SystemConfig, ("home_node",))
-
-
-def _home_inline_args(memory_controller):
-    """Kwargs compiling the stock block-interleaved home test into C.
-
-    Empty — keeping the memoised ``is_home_for`` fallback — when the memory
-    controller overrides the home test, runs a non-stock config class, or
-    either hook has been patched.
-    """
-    config = memory_controller.config
-    if (
-        type(memory_controller).is_home_for is MemoryControllerBase.is_home_for
-        and type(config) is SystemConfig
-        and is_pristine(HOME_PRISTINE)
-    ):
-        return {
-            "home_inline": 1,
-            "block_bytes": config.cache_block_bytes,
-            "num_procs": config.num_processors,
-        }
-    return {}
-
-
-#: Captured at import: the broadcast send pipeline the compiled issue chain
-#: (send mode 1) runs entirely in C — message build, recipient set, broadcast
-#: count and the ordered network's injection.
-SEND_PRISTINE = pristine_snapshot(
-    SnoopingCacheController,
-    (
-        "_send_request",
-        "_send_writeback",
-        "_build_request_message",
-        "_request_recipients",
-        "_writeback_recipients",
-    ),
-)
-
-
-def compile_issue_send(cache, ext):
-    """``(send_mode, kwargs)`` inlining the broadcast send into C, or None.
-
-    Mode 1 replicates :meth:`SnoopingCacheController._send_request` /
-    ``_send_writeback`` + :meth:`TotallyOrderedNetwork.send` for the exact
-    stock shapes only: pristine send pipeline, stock network with unit
-    broadcast cost, the full-node recipient set, and a stock endpoint link
-    (whose transmit the prebuilt ``LinkPush`` objects inline).  Any other
-    shape returns None and the issue chain falls back to send mode 0 — C
-    bookkeeping around the bound Python ``_send_*`` methods, faithful by
-    construction.
-    """
-    from ...interconnect.link import EndpointLink  # noqa: PLC0415
-    from ...interconnect.ordered_network import TotallyOrderedNetwork  # noqa: PLC0415
-    from ..dispatch import LINK_PRISTINE, NET_SEND_PRISTINE  # noqa: PLC0415
-
-    net = cache.interconnect.ordered
-    if type(net) is not TotallyOrderedNetwork:
-        return None
-    send = cache._ordered_send
-    if (
-        getattr(send, "__self__", None) is not net
-        or send.__func__ is not TotallyOrderedNetwork.send
-    ):
-        return None
-    if not is_pristine(SEND_PRISTINE, LINK_PRISTINE, NET_SEND_PRISTINE):
-        return None
-    if net.broadcast_cost_factor != 1.0 or net._accel is not ext:
-        return None
-    all_nodes = cache.interconnect.all_nodes
-    if type(all_nodes) is not frozenset or all_nodes != net._node_ids:
-        return None
-    pair = net.links.get(cache.node_id)
-    if pair is None or type(pair.outgoing) is not EndpointLink:
-        return None
-    labels = net._inject_labels
-    extra = {
-        "all_nodes": all_nodes,
-        "net_messages": net._messages_counter,
-        "net_broadcasts": net._broadcasts_counter,
-    }
-    for key, kind in (
-        ("push_gets", MessageType.GETS),
-        ("push_getm", MessageType.GETM),
-        ("push_putm", MessageType.PUTM),
-    ):
-        label = labels.get(kind)
-        if label is None:
-            # Fill the network's own memo so pure and compiled sends of this
-            # type share the one label object.
-            label = labels[kind] = f"ordered-inject:{kind}"
-        extra[key] = ext.LinkPush(
-            net.scheduler, pair.outgoing, net._enter_switch_callback, label
-        )
-    return 1, extra
-
-
-def compile_mem_serve(memory_controller, ext):
-    """A C ``MemServe`` data-serve entry for the home memory, or None.
-
-    Replaces the Python re-entry the compiled home serve previously made for
-    the memory-is-owner DATA reply: the C object mirrors
-    :meth:`MemoryControllerBase._send_data` (pooled message build, the
-    ``data_responses``/``memory_responses`` counts and the DRAM-delayed
-    unordered send) while the directory bookkeeping stays in the compiled
-    handler.  Only offered for the exact stock memory controller shape; any
-    customisation keeps the per-message Python call, which is always
-    faithful.
-    """
-    from ...sim.arena import SimulationArena  # noqa: PLC0415
-    from ..base import MEM_DATA_PRISTINE  # noqa: PLC0415
-    from ..dispatch import (  # noqa: PLC0415
-        ARENA_ALLOC_PRISTINE,
-        inject_issue_singletons,
-    )
-
-    if not hasattr(ext, "MemServe"):
-        return None
-    if not is_pristine(MEM_DATA_PRISTINE):
-        return None
-    mem = memory_controller
-    if "_send_data" in vars(mem) or "_unordered_send" not in vars(mem):
-        return None
-    scheduler = mem.scheduler
-    if mem._schedule_after_fast1 != scheduler.schedule_after_fast1:
-        return None
-    arena = mem._arena
-    if arena is not None:
-        if type(arena) is not SimulationArena or not is_pristine(
-            ARENA_ALLOC_PRISTINE
-        ):
-            return None
-        if (
-            getattr(mem._new_message, "__self__", None) is not arena
-            or mem._new_message.__func__ is not SimulationArena.message
-        ):
-            return None
-        msg_pool = arena._messages
-    else:
-        if mem._new_message is not Message:
-            return None
-        msg_pool = None
-    inject_issue_singletons(ext)
-    return ext.MemServe(
-        controller=mem,
-        scheduler=scheduler,
-        src=mem.node_id,
-        unordered_send=mem._unordered_send,
-        data_label=mem._memory_data_label,
-        msg_cls=Message,
-        msg_id_next=_message_ids.__next__,
-        msg_pool=msg_pool,
-    )

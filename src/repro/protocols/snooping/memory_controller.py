@@ -21,7 +21,6 @@ from ...coherence.directory import DirectoryEntry
 from ...errors import ProtocolError
 from ...interconnect.message import Message, MessageType
 from ..base import MemoryControllerBase
-from ..dispatch import pristine_snapshot
 
 
 class OrderedHomeMemoryController(MemoryControllerBase):
@@ -177,10 +176,3 @@ class SnoopingMemoryController(OrderedHomeMemoryController):
             return
         raise ProtocolError(f"unexpected request kind {kind}")
 
-
-#: Captured at import: the home-serve methods the compiled delivery objects
-#: inline when the memory side runs in C (mem_mode 2).
-INLINED_PRISTINE = pristine_snapshot(
-    SnoopingMemoryController,
-    ("_ordered_request", "_serve_request", "_note_request_observed"),
-)

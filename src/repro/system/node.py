@@ -16,7 +16,11 @@ from typing import Callable, Dict, Tuple
 
 from ..interconnect.message import DestinationUnit, Message, MessageType
 from ..protocols.base import CacheControllerBase, MemoryControllerBase
-from ..protocols.dispatch import rejecter
+from ..protocols.dispatch import (
+    compile_ordered_entry,
+    compile_unordered_entry,
+    rejecter,
+)
 from .sequencer import Sequencer
 
 #: A compiled delivery entry: one callable handling one message type.
@@ -88,16 +92,12 @@ class Node:
         if entry is None:
             if dest_unit is DestinationUnit.CACHE:
                 controller = self.cache_controller
+                # A compiled backend may offer a C delivery object for this
+                # entry (same per-handler decline rule as the ordered path).
+                handler = compile_unordered_entry(controller, msg_type)
             else:
                 controller = self.memory_controller
-            handler = None
-            # A compiled backend may offer a C delivery object for this
-            # entry (same per-handler decline rule as the ordered path).
-            compile_accelerated = getattr(
-                controller, "compile_accelerated_unordered", None
-            )
-            if compile_accelerated is not None:
-                handler = compile_accelerated(msg_type)
+                handler = None
             if handler is None:
                 handler = controller.unordered_handlers.get(msg_type)
             if handler is None:
@@ -106,35 +106,16 @@ class Node:
         return entry
 
     def _compile_ordered(self, msg_type: MessageType) -> DeliveryEntry:
-        memory_handler = self.memory_controller.ordered_handlers.get(msg_type)
-        # A compiled backend may offer a C delivery object for this entry
-        # (the coherence fast paths); protocols decline per handler —
-        # returning None — whenever their dispatch tables have been
-        # customised, falling through to the fused closure and then the
-        # generic table-driven path, which stay authoritative.
-        compile_accelerated = getattr(
-            self.cache_controller, "compile_accelerated_ordered", None
+        # A compiled backend may offer a C delivery object for this entry;
+        # the selector declines per handler (returning None) whenever the
+        # classes or dispatch tables have been customised, and the generic
+        # table-driven path below stays authoritative.
+        accelerated = compile_ordered_entry(
+            self.cache_controller, msg_type, self.memory_controller, self._home_filter
         )
-        if compile_accelerated is not None:
-            accelerated = compile_accelerated(
-                msg_type, self.memory_controller, self._home_filter
-            )
-            if accelerated is not None:
-                return accelerated
-        # Protocols may offer a fully fused delivery closure (snoop early-out
-        # plus home-filtered memory dispatch in one frame) for their hottest
-        # ordered types; they decline — returning None — whenever the dispatch
-        # tables have been customised, keeping the generic path authoritative.
-        compile_fused = getattr(self.cache_controller, "compile_fused_ordered", None)
-        if compile_fused is not None and self._home_filter is not None:
-            fused = compile_fused(
-                msg_type,
-                memory_handler,
-                self._home_filter,
-                self.memory_controller.is_home_for,
-            )
-            if fused is not None:
-                return fused
+        if accelerated is not None:
+            return accelerated
+        memory_handler = self.memory_controller.ordered_handlers.get(msg_type)
         cache_handler = self.cache_controller.ordered_handlers.get(msg_type)
         if cache_handler is None:
             cache_handler = rejecter(self.cache_controller, "ordered")

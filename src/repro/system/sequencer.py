@@ -20,7 +20,6 @@ from ..coherence.state import MOSIState
 from ..coherence.transaction import Transaction
 from ..interconnect.message import MessageType
 from ..protocols.base import CacheControllerBase
-from ..protocols.dispatch import pristine_snapshot
 from ..sim.component import Component
 from ..sim.scheduler import Scheduler
 from ..workloads.base import MemoryOperation, Workload
@@ -227,21 +226,3 @@ class Sequencer(Component):
             victim.invalidate()
             self._blocks_drop(address)
 
-
-#: Captured at import: the per-reference chain the compiled SequencerStep
-#: (repro._core) fuses into one C call.  A class-level patch to any of these
-#: keeps the pure step (see ``compile_sequencer_step`` in
-#: ``repro.protocols.dispatch``).
-SEQUENCER_PRISTINE = pristine_snapshot(
-    Sequencer,
-    (
-        "_perform",
-        "_fetch_next",
-        "_finish_stream",
-        "_complete_hit",
-        "_complete_miss",
-        "_account",
-        "_maybe_evict",
-        "start",
-    ),
-)

@@ -114,3 +114,47 @@ class TestSystemConfig:
         inside system construction (``cannot convert float NaN to integer``)."""
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             SystemConfig(**{field: value})
+
+
+class TestIntegerFields:
+    """Regression: each of these used to be accepted and then fail only
+    inside the run (``ZeroDivisionError``, a ``TypeError`` in the run loop,
+    or a ``ValueError`` on the compiled backend alone)."""
+
+    @pytest.mark.parametrize("value", [0, -64])
+    def test_rejects_non_positive_block_size(self, value):
+        with pytest.raises(ConfigurationError, match="cache_block_bytes must be positive"):
+            SystemConfig(cache_block_bytes=value)
+
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [
+            (LatencyConfig, "dram_access", 2.5),
+            (LatencyConfig, "network_traversal", float("nan")),
+            (AdaptiveConfig, "sampling_interval", 64.5),
+            (SystemConfig, "cache_capacity_blocks", 2.5),
+            (SystemConfig, "num_processors", 4.0),
+            (SystemConfig, "random_seed", "1"),
+        ],
+    )
+    def test_rejects_non_integral_values(self, make, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            make(**{field: value})
+
+    def test_accepts_and_normalises_numpy_integers(self):
+        numpy = pytest.importorskip("numpy")
+        config = SystemConfig(
+            num_processors=numpy.int64(4),
+            cache_block_bytes=numpy.int32(64),
+            latency=LatencyConfig(dram_access=numpy.int16(80)),
+            adaptive=AdaptiveConfig(sampling_interval=numpy.uint32(256)),
+        )
+        assert type(config.num_processors) is int
+        assert type(config.cache_block_bytes) is int
+        assert type(config.latency.dram_access) is int
+        assert type(config.adaptive.sampling_interval) is int
+        assert config == SystemConfig(
+            num_processors=4,
+            latency=LatencyConfig(dram_access=80),
+            adaptive=AdaptiveConfig(sampling_interval=256),
+        )
