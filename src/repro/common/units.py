@@ -56,6 +56,11 @@ def transfer_cycles(size_bytes: int, bytes_per_cycle: float) -> int:
             f"bandwidth must be positive, got {bytes_per_cycle!r} bytes/cycle"
         )
     cycles = math.ceil(size_bytes / bytes_per_cycle)
+    # The quotient can round up past a whole number (329 / 0.35 gives
+    # 940.0000000000001), so step back when one cycle fewer already carries
+    # the payload.
+    if cycles > 1 and (cycles - 1) * bytes_per_cycle >= size_bytes:
+        cycles -= 1
     return max(1, cycles)
 
 

@@ -11,7 +11,11 @@ filesystem operation, so a crash at any instant leaves the store recoverable:
 ``pending/``
     claimable tickets.  ``claim()`` is ``os.rename(pending/X, leased/X)`` —
     atomic on POSIX, so exactly one worker wins a unit no matter how many
-    race for it.
+    race for it.  Each handle claims from a sorted *snapshot* of pending
+    ids and re-lists the directory only when the snapshot holds nothing
+    claimable, so one claim costs the same whether the queue holds ten
+    units or ten thousand; a candidate another claimant took first simply
+    fails its read or its rename and is skipped.
 ``leased/``
     tickets being executed.  A lease sidecar (``leases/X.json``, written with
     ``os.replace``) records the worker, a fencing ``lease_id`` and a wall
@@ -30,10 +34,21 @@ filesystem operation, so a crash at any instant leaves the store recoverable:
     recorded under ``artifacts/`` and the campaign *continues* — graceful
     degradation, never a hang.
 
+A crash between a transition's two steps can leave a unit's ticket in two
+state directories; the copy in the directory earlier in ``_PRIORITY`` wins.
+The full five-directory dedupe runs in :meth:`JobStore.recover` (when a
+worker starts and on every coordinator pass).  Between claims a worker runs
+:meth:`JobStore.reclaim`, which lists only ``leased/`` and ``failed/`` and
+settles duplicates of just the ids it touches; ``claim()`` itself drops a
+pending candidate that already has a ``done`` or ``quarantine`` ticket.  A
+pending + leased pair whose lease is still live is a *speculation* (see
+:meth:`JobStore.speculate`), not a crash leftover, and both copies stay.
+
 An append-only ``journal.jsonl`` records every transition (enqueue, claim,
 done, failed, lease-expired, requeue, retry, speculate, quarantine, ...) so
 resume semantics are auditable: the chaos tests assert "zero recomputation of
-``done`` units" directly from the journal.
+``done`` units" directly from the journal.  Journal offsets are byte
+positions, so a run-scoped read parses only what the run appended.
 
 Execution is **at-least-once**: a lease can expire under a worker that is
 merely slow, and speculation deliberately double-dispatches stragglers, so
@@ -48,6 +63,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 import tempfile
 import time
@@ -56,7 +73,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from ..errors import JobStoreError
+from ..errors import ConfigurationError, JobStoreError
 
 #: Work-unit states; a ticket is exactly one file in the directory of its state.
 PENDING = "pending"
@@ -67,12 +84,58 @@ QUARANTINED = "quarantine"
 
 STATES = (PENDING, LEASED, DONE, FAILED, QUARANTINED)
 
+#: Side directories: lease sidecars and committed results, one file per unit.
+LEASES = "leases"
+RESULTS = "results"
+
 #: Resolution priority when a crash mid-transition leaves a unit's ticket in
 #: two state directories at once (transitions write the target before
 #: unlinking the source): the *target* of any legal transition outranks its
 #: source, so keeping the highest-priority copy always lands the unit where
 #: the interrupted transition was headed.
 _PRIORITY = (DONE, QUARANTINED, FAILED, PENDING, LEASED)
+
+
+def check_store_settings(
+    lease_timeout: float,
+    max_attempts: int,
+    backoff_base: float = 0.5,
+    backoff_cap: float = 30.0,
+) -> None:
+    """Raise :exc:`ConfigurationError` for settings that would wedge a store.
+
+    A NaN or infinite lease deadline never expires (a dead worker's units
+    would hang until the coordinator's stall timeout), a non-positive one
+    expires every lease at once, fewer than one attempt quarantines units
+    unrun, and a negative or non-finite backoff schedules retries in the
+    past or never.
+    """
+    if not (_finite(lease_timeout) and lease_timeout > 0):
+        raise ConfigurationError(
+            "lease_timeout must be a finite number of seconds > 0, "
+            f"got {lease_timeout!r}"
+        )
+    if (
+        isinstance(max_attempts, bool)
+        or not isinstance(max_attempts, numbers.Integral)
+        or max_attempts < 1
+    ):
+        raise ConfigurationError(
+            f"max_attempts must be an integer >= 1, got {max_attempts!r}"
+        )
+    for name, value in (("backoff_base", backoff_base), ("backoff_cap", backoff_cap)):
+        if not (_finite(value) and value >= 0):
+            raise ConfigurationError(
+                f"{name} must be a finite number of seconds >= 0, got {value!r}"
+            )
+
+
+def _finite(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass
@@ -113,6 +176,13 @@ class Lease:
     deadline: float
 
 
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 class JobStore:
     """Filesystem-backed durable work queue (see the module docstring).
 
@@ -130,34 +200,49 @@ class JobStore:
         backoff_cap: float = 30.0,
         clock: Callable[[], float] = time.time,
     ) -> None:
+        check_store_settings(lease_timeout, max_attempts, backoff_base, backoff_cap)
         self.root = Path(root).expanduser()
         self.lease_timeout = float(lease_timeout)
         self.max_attempts = int(max_attempts)
         self.backoff_base = float(backoff_base)
         self.backoff_cap = float(backoff_cap)
         self.clock = clock
-        for state in STATES:
-            (self.root / state).mkdir(parents=True, exist_ok=True)
-        (self.root / "leases").mkdir(exist_ok=True)
-        (self.root / "results").mkdir(exist_ok=True)
+        self._dirs = {
+            name: str(self.root / name) for name in (*STATES, LEASES, RESULTS)
+        }
+        for directory in self._dirs.values():
+            os.makedirs(directory, exist_ok=True)
         self.artifacts_dir = self.root / "artifacts"
         self.artifacts_dir.mkdir(exist_ok=True)
         self.journal_path = self.root / "journal.jsonl"
+        #: Pending ids this handle has listed but not yet claimed, sorted
+        #: descending so the next candidate pops off the end.
+        self._snapshot: List[str] = []
 
     # ------------------------------------------------------------ primitives
 
+    def _path(self, directory: str, unit_id: str) -> str:
+        """``<directory>/<unit_id>.json`` as a plain string.
+
+        The store addresses per-unit files by string: CPython's path parsing
+        interns every part, so a ``Path`` per file access would churn the
+        interpreter's intern table once per unit and grow it over a drain.
+        """
+        return f"{self._dirs[directory]}{os.sep}{unit_id}.json"
+
     def _ticket(self, state: str, unit_id: str) -> Path:
-        return self.root / state / f"{unit_id}.json"
+        """A ticket as a ``Path``, for inspection outside the store's loops."""
+        return Path(self._path(state, unit_id))
 
     def _lease_path(self, unit_id: str) -> Path:
-        return self.root / "leases" / f"{unit_id}.json"
+        return Path(self._path(LEASES, unit_id))
 
     def result_path(self, unit_id: str) -> Path:
-        return self.root / "results" / f"{unit_id}.json"
+        return Path(self._path(RESULTS, unit_id))
 
-    def _write_json(self, path: Path, payload: Dict) -> None:
+    def _write_json(self, path, payload: Dict) -> None:
         """Atomic write: unique temp file in the same directory + os.replace."""
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        fd, tmp_name = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(json.dumps(payload, sort_keys=True))
@@ -169,9 +254,10 @@ class JobStore:
                 pass
             raise
 
-    def _read_json(self, path: Path) -> Optional[Dict]:
+    def _read_json(self, path) -> Optional[Dict]:
         try:
-            return json.loads(path.read_text())
+            with open(path) as handle:
+                return json.loads(handle.read())
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, ValueError) as error:
@@ -191,23 +277,29 @@ class JobStore:
             os.close(fd)
 
     def journal_entries(self, offset: int = 0) -> List[Dict]:
-        """Parsed journal records, skipping the first ``offset`` lines."""
+        """Parsed journal records appended after ``offset``.
+
+        ``offset`` is opaque: pass 0 or a value :meth:`journal_offset`
+        returned.  Only the bytes after it are read and parsed.
+        """
         try:
-            lines = self.journal_path.read_text().splitlines()
+            with open(self.journal_path, "rb") as handle:
+                handle.seek(offset)
+                tail = handle.read()
         except FileNotFoundError:
             return []
         entries = []
-        for line in lines[offset:]:
+        for line in tail.splitlines():
             try:
                 entries.append(json.loads(line))
-            except json.JSONDecodeError:  # torn final line after a crash
+            except ValueError:  # torn final line after a crash
                 continue
         return entries
 
     def journal_offset(self) -> int:
-        """Current journal length, for run-scoped summaries after a resume."""
+        """The journal's current end (its size in bytes), for run-scoped reads."""
         try:
-            return len(self.journal_path.read_text().splitlines())
+            return os.stat(self.journal_path).st_size
         except FileNotFoundError:
             return 0
 
@@ -216,15 +308,21 @@ class JobStore:
     def find(self, unit_id: str) -> Optional[str]:
         """The state a unit is currently in, or None if unknown."""
         for state in _PRIORITY:
-            if self._ticket(state, unit_id).exists():
+            if os.path.exists(self._path(state, unit_id)):
                 return state
         return None
 
     def ids(self, state: str) -> List[str]:
-        """Sorted unit ids currently in ``state``."""
-        return sorted(
-            path.stem for path in (self.root / state).glob("*.json")
-        )
+        """Sorted unit ids currently in ``state``.
+
+        The store's only directory listing: everything that needs to see a
+        state directory goes through here.
+        """
+        try:
+            names = os.listdir(self._dirs[state])
+        except FileNotFoundError:
+            return []
+        return sorted(name[:-5] for name in names if name.endswith(".json"))
 
     def counts(self) -> Dict[str, int]:
         return {state: len(self.ids(state)) for state in STATES}
@@ -234,7 +332,7 @@ class JobStore:
         state = self.find(unit_id)
         if state is None:
             raise JobStoreError(f"unknown unit {unit_id!r}")
-        data = self._read_json(self._ticket(state, unit_id))
+        data = self._read_json(self._path(state, unit_id))
         if data is None:
             raise JobStoreError(f"unit {unit_id!r} vanished mid-read")
         return WorkUnit.from_jsonable(data)
@@ -252,7 +350,7 @@ class JobStore:
         if existing is not None:
             return existing
         ticket = dataclasses.replace(unit, enqueued_at=self.clock())
-        self._write_json(self._ticket(PENDING, unit.unit_id), ticket.to_jsonable())
+        self._write_json(self._path(PENDING, unit.unit_id), ticket.to_jsonable())
         self.journal("enqueue", unit.unit_id, kind=unit.kind)
         return PENDING
 
@@ -261,59 +359,84 @@ class JobStore:
     def claim(self, worker_id: str) -> Optional[Lease]:
         """Atomically claim one ready pending unit, or None.
 
-        The winning rename is the *only* arbitration: concurrent claimants
+        Candidates come from this handle's snapshot of ``pending/``; the
+        directory is listed again only when the snapshot yields nothing
+        claimable, so None still means "nothing claimable right now".  The
+        winning rename is the *only* arbitration: concurrent claimants
         racing for the same ticket all attempt the same rename and exactly
         one succeeds; the rest move on to the next candidate.
         """
         now = self.clock()
-        for unit_id in self.ids(PENDING):
-            source = self._ticket(PENDING, unit_id)
-            data = self._read_json(source)
-            if data is None:  # lost the race before we even tried
-                continue
-            unit = WorkUnit.from_jsonable(data)
-            if unit.not_before > now:
-                continue
-            target = self._ticket(LEASED, unit_id)
-            try:
-                os.rename(source, target)
-            except FileNotFoundError:
-                continue  # another claimant won this ticket
-            lease = Lease(
-                unit=unit,
-                lease_id=uuid.uuid4().hex,
-                worker_id=worker_id,
-                deadline=now + self.lease_timeout,
-            )
-            self._write_json(
-                self._lease_path(unit_id),
-                {
-                    "lease_id": lease.lease_id,
-                    "worker_id": worker_id,
-                    "deadline": lease.deadline,
-                    "claimed_at": now,
-                },
-            )
-            self.journal(
-                "claim", unit_id, worker=worker_id, attempt=unit.attempts + 1
-            )
-            return lease
-        return None
+        lease = self._claim_from_snapshot(worker_id, now)
+        if lease is None:
+            self._snapshot = self.ids(PENDING)
+            self._snapshot.reverse()
+            lease = self._claim_from_snapshot(worker_id, now)
+        return lease
+
+    def _claim_from_snapshot(self, worker_id: str, now: float) -> Optional[Lease]:
+        snapshot = self._snapshot
+        waiting: List[str] = []  # in backoff: stays for a later claim
+        try:
+            while snapshot:
+                unit_id = snapshot.pop()
+                source = self._path(PENDING, unit_id)
+                data = self._read_json(source)
+                if data is None:  # claimed or moved since the listing
+                    continue
+                if os.path.exists(self._path(DONE, unit_id)) or os.path.exists(
+                    self._path(QUARANTINED, unit_id)
+                ):
+                    # A crash leftover of a settled unit: _PRIORITY drops it.
+                    _unlink(source)
+                    continue
+                unit = WorkUnit.from_jsonable(data)
+                if unit.not_before > now:
+                    waiting.append(unit_id)
+                    continue
+                try:
+                    os.rename(source, self._path(LEASED, unit_id))
+                except FileNotFoundError:
+                    continue  # another claimant won this ticket
+                return self._grant(unit, worker_id, now)
+            return None
+        finally:
+            snapshot.extend(reversed(waiting))
+
+    def _grant(self, unit: WorkUnit, worker_id: str, now: float) -> Lease:
+        """Write the lease sidecar for a ticket this worker just renamed."""
+        lease = Lease(
+            unit=unit,
+            lease_id=uuid.uuid4().hex,
+            worker_id=worker_id,
+            deadline=now + self.lease_timeout,
+        )
+        self._write_json(
+            self._path(LEASES, unit.unit_id),
+            {
+                "lease_id": lease.lease_id,
+                "worker_id": worker_id,
+                "deadline": lease.deadline,
+                "claimed_at": now,
+            },
+        )
+        self.journal("claim", unit.unit_id, worker=worker_id, attempt=unit.attempts + 1)
+        return lease
 
     def heartbeat(self, lease: Lease) -> bool:
         """Renew the lease deadline; False means the lease was lost (fenced)."""
-        sidecar = self._read_json(self._lease_path(lease.unit.unit_id))
+        sidecar = self._read_json(self._path(LEASES, lease.unit.unit_id))
         if sidecar is None or sidecar.get("lease_id") != lease.lease_id:
             return False
         lease.deadline = self.clock() + self.lease_timeout
         self._write_json(
-            self._lease_path(lease.unit.unit_id),
+            self._path(LEASES, lease.unit.unit_id),
             {**sidecar, "deadline": lease.deadline},
         )
         return True
 
     def _holds_lease(self, lease: Lease) -> bool:
-        sidecar = self._read_json(self._lease_path(lease.unit.unit_id))
+        sidecar = self._read_json(self._path(LEASES, lease.unit.unit_id))
         return sidecar is not None and sidecar.get("lease_id") == lease.lease_id
 
     # ---------------------------------------------------------- transitions
@@ -336,19 +459,20 @@ class JobStore:
             return False
         if _corrupt:
             # Simulate a torn write: bypass the atomic temp-file protocol.
-            self.result_path(unit_id).write_text('{"kind": "torn')
+            with open(self._path(RESULTS, unit_id), "w") as handle:
+                handle.write('{"kind": "torn')
         else:
             self._write_json(
-                self.result_path(unit_id),
+                self._path(RESULTS, unit_id),
                 {"unit_id": unit_id, "kind": lease.unit.kind, "result": result},
             )
-        source = self._ticket(LEASED, unit_id)
+        source = self._path(LEASED, unit_id)
         try:
-            os.rename(source, self._ticket(DONE, unit_id))
+            os.rename(source, self._path(DONE, unit_id))
         except FileNotFoundError:
             self.journal("commit-fenced", unit_id, worker=lease.worker_id)
             return False
-        self._lease_path(unit_id).unlink(missing_ok=True)
+        _unlink(self._path(LEASES, unit_id))
         self.journal("done", unit_id, worker=lease.worker_id)
         return True
 
@@ -359,7 +483,7 @@ class JobStore:
         """Move a unit that just failed an attempt to ``failed`` or quarantine."""
         unit_id = unit.unit_id
         if unit.attempts >= self.max_attempts:
-            self._write_json(self._ticket(QUARANTINED, unit_id), unit.to_jsonable())
+            self._write_json(self._path(QUARANTINED, unit_id), unit.to_jsonable())
             artifact = self.artifacts_dir / f"{unit_id}.poison.json"
             self._write_json(
                 artifact,
@@ -377,7 +501,7 @@ class JobStore:
                 worker=worker,
             )
             return QUARANTINED
-        self._write_json(self._ticket(FAILED, unit_id), unit.to_jsonable())
+        self._write_json(self._path(FAILED, unit_id), unit.to_jsonable())
         self.journal(
             "failed",
             unit_id,
@@ -401,8 +525,8 @@ class JobStore:
         )
         unit.not_before = self.clock() + self._backoff(unit.attempts)
         state = self._retire(unit, unit.last_error, worker=lease.worker_id)
-        self._ticket(LEASED, unit.unit_id).unlink(missing_ok=True)
-        self._lease_path(unit.unit_id).unlink(missing_ok=True)
+        _unlink(self._path(LEASED, unit.unit_id))
+        _unlink(self._path(LEASES, unit.unit_id))
         return state
 
     def release(self, lease: Lease) -> None:
@@ -410,10 +534,10 @@ class JobStore:
         if not self._holds_lease(lease):
             return
         self._write_json(
-            self._ticket(PENDING, lease.unit.unit_id), lease.unit.to_jsonable()
+            self._path(PENDING, lease.unit.unit_id), lease.unit.to_jsonable()
         )
-        self._ticket(LEASED, lease.unit.unit_id).unlink(missing_ok=True)
-        self._lease_path(lease.unit.unit_id).unlink(missing_ok=True)
+        _unlink(self._path(LEASED, lease.unit.unit_id))
+        _unlink(self._path(LEASES, lease.unit.unit_id))
         self.journal("release", lease.unit.unit_id, worker=lease.worker_id)
 
     # ---------------------------------------------------------------- results
@@ -426,48 +550,81 @@ class JobStore:
         recomputation; the caller sees None now and a fresh result after the
         next drain.
         """
-        path = self.result_path(unit_id)
+        path = self._path(RESULTS, unit_id)
         try:
-            envelope = json.loads(path.read_text())
+            with open(path) as handle:
+                envelope = json.loads(handle.read())
             return envelope["result"]
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            corrupt = Path(str(path) + ".corrupt")
+            corrupt = path + ".corrupt"
             try:
                 os.replace(path, corrupt)
             except OSError:  # pragma: no cover - already gone
                 corrupt = None
-            ticket = self._ticket(DONE, unit_id)
-            if ticket.exists():
-                data = self._read_json(ticket)
-                if data is not None:
-                    self._write_json(self._ticket(PENDING, unit_id), data)
-                ticket.unlink(missing_ok=True)
+            # One rename, so no claimant ever sees the requeued ticket next
+            # to its done copy (which the dedupe rule would keep instead).
+            try:
+                os.rename(self._path(DONE, unit_id), self._path(PENDING, unit_id))
+            except FileNotFoundError:
+                pass
             self.journal(
                 "result-corrupt",
                 unit_id,
-                quarantined=str(corrupt) if corrupt else None,
+                quarantined=corrupt,
             )
             return None
 
     # --------------------------------------------------------------- recovery
 
-    def _dedupe(self) -> None:
+    def _lease_live(self, unit_id: str, now: float) -> bool:
+        sidecar = self._read_json(self._path(LEASES, unit_id))
+        return sidecar is not None and sidecar.get("deadline", 0.0) >= now
+
+    def _drop_copy(self, unit_id: str, state: str, kept: str, now: float) -> None:
+        """Delete a lower-priority duplicate ticket of a unit kept in ``kept``.
+
+        A pending copy beside a leased one whose lease is still live is a
+        speculation, not a crash leftover: the straggler keeps its ticket and
+        lease so that its commit can still win.
+        """
+        if state == LEASED and kept == PENDING and self._lease_live(unit_id, now):
+            return
+        _unlink(self._path(state, unit_id))
+        if state == LEASED:
+            _unlink(self._path(LEASES, unit_id))
+
+    def _dedupe(self, now: float) -> None:
         """Resolve units left in two state dirs by a crash mid-transition."""
         seen: Dict[str, str] = {}
         for state in _PRIORITY:
             for unit_id in self.ids(state):
                 if unit_id in seen:
-                    self._ticket(state, unit_id).unlink(missing_ok=True)
-                    if state == LEASED:
-                        self._lease_path(unit_id).unlink(missing_ok=True)
+                    self._drop_copy(unit_id, state, seen[unit_id], now)
                 else:
                     seen[unit_id] = state
 
+    def _settle(self, unit_id: str, now: float) -> Optional[str]:
+        """The dedupe rule for one unit; returns the state it is kept in."""
+        kept = None
+        for state in _PRIORITY:
+            if not os.path.exists(self._path(state, unit_id)):
+                continue
+            if kept is None:
+                kept = state
+            else:
+                self._drop_copy(unit_id, state, kept, now)
+        return kept
+
     def _expire(self, unit_id: str, reason: str) -> None:
         """One expired lease: burn an attempt and requeue (or quarantine)."""
-        source = self._ticket(LEASED, unit_id)
+        source = self._path(LEASED, unit_id)
+        if os.path.exists(self._path(PENDING, unit_id)):
+            # A speculative copy already re-dispatches the unit.
+            _unlink(source)
+            _unlink(self._path(LEASES, unit_id))
+            return
         data = self._read_json(source)
         if data is None:
             return
@@ -479,30 +636,41 @@ class JobStore:
         if unit.attempts >= self.max_attempts:
             self._retire(unit, reason)
         else:
-            self._write_json(self._ticket(PENDING, unit_id), unit.to_jsonable())
+            self._write_json(self._path(PENDING, unit_id), unit.to_jsonable())
             self.journal("requeue", unit_id, attempts=unit.attempts)
-        source.unlink(missing_ok=True)
-        self._lease_path(unit_id).unlink(missing_ok=True)
+        _unlink(source)
+        _unlink(self._path(LEASES, unit_id))
 
     def recover(self) -> Dict[str, int]:
-        """Reclaim expired leases and requeue due retries; safe to call often.
+        """Full recovery: dedupe all five state dirs, then :meth:`reclaim`.
 
         Any process sharing the store may run recovery — transitions stay
         atomic single-file operations, so concurrent recovery and claiming
         interleave safely (a lost race shows up as FileNotFoundError and is
         skipped).
         """
-        self._dedupe()
+        self._dedupe(self.clock())
+        return self.reclaim()
+
+    def reclaim(self) -> Dict[str, int]:
+        """Reclaim expired leases and requeue due retries; safe to call often.
+
+        Lists only ``leased/`` and ``failed/`` and settles duplicates of just
+        the ids found there, so its cost follows the in-flight units, not the
+        campaign size.  Workers run it before every claim.
+        """
         now = self.clock()
         expired = 0
         for unit_id in self.ids(LEASED):
-            sidecar = self._read_json(self._lease_path(unit_id))
+            if self._settle(unit_id, now) != LEASED:
+                continue
+            sidecar = self._read_json(self._path(LEASES, unit_id))
             if sidecar is None:
                 # Claim crashed between rename and sidecar write: give the
                 # claimant a full lease from the ticket's mtime before
                 # declaring it dead.
                 try:
-                    age = now - self._ticket(LEASED, unit_id).stat().st_mtime
+                    age = now - os.stat(self._path(LEASED, unit_id)).st_mtime
                 except OSError:
                     continue
                 if age < self.lease_timeout:
@@ -517,15 +685,17 @@ class JobStore:
                 expired += 1
         retried = 0
         for unit_id in self.ids(FAILED):
-            source = self._ticket(FAILED, unit_id)
+            if self._settle(unit_id, now) != FAILED:
+                continue
+            source = self._path(FAILED, unit_id)
             data = self._read_json(source)
             if data is None:
                 continue
             unit = WorkUnit.from_jsonable(data)
             if unit.not_before > now:
                 continue
-            self._write_json(self._ticket(PENDING, unit_id), data)
-            source.unlink(missing_ok=True)
+            self._write_json(self._path(PENDING, unit_id), data)
+            _unlink(source)
             self.journal("retry", unit_id, attempts=unit.attempts)
             retried += 1
         return {"expired": expired, "retried": retried}
@@ -539,7 +709,7 @@ class JobStore:
         """
         expired = 0
         for unit_id in self.ids(LEASED):
-            sidecar = self._read_json(self._lease_path(unit_id))
+            sidecar = self._read_json(self._path(LEASES, unit_id))
             if sidecar is not None and sidecar.get("worker_id") == worker_id:
                 self._expire(unit_id, f"worker {worker_id} died")
                 expired += 1
@@ -551,13 +721,15 @@ class JobStore:
         """Double-dispatch a leased straggler: copy its ticket back to pending.
 
         The first commit (original or speculative) wins; the loser is fenced.
+        While the straggler's lease is live, recovery keeps both copies, and
+        once it commits, a claim drops the leftover pending copy.
         Deterministic units make the duplicate execution observationally
         harmless — this trades redundant work for tail latency, exactly the
         HPC-workflow straggler pattern.
         """
-        source = self._ticket(LEASED, unit_id)
-        target = self._ticket(PENDING, unit_id)
-        if not source.exists() or target.exists():
+        source = self._path(LEASED, unit_id)
+        target = self._path(PENDING, unit_id)
+        if not os.path.exists(source) or os.path.exists(target):
             return False
         data = self._read_json(source)
         if data is None:

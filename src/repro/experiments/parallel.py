@@ -140,11 +140,26 @@ class PointSpec:
 # ------------------------------------------------------------- serialisation
 
 
+_POINT_FIELDS = tuple(f.name for f in dataclasses.fields(SweepPoint))
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(RunResult))
+
+
+def _result_to_json(result: RunResult) -> Dict:
+    data = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    data["protocol"] = str(result.protocol)
+    data["stats"] = dict(result.stats)  # flat: every stat is a number
+    return data
+
+
 def _point_to_json(point: SweepPoint) -> Dict:
-    data = dataclasses.asdict(point)
+    """A point as plain JSON data, equal to its ``dataclasses.asdict`` form.
+
+    Built field by field with a flat copy of ``stats``, not by ``asdict``'s
+    recursive deep copy: every service unit's commit serialises a point.
+    """
+    data = {name: getattr(point, name) for name in _POINT_FIELDS}
     data["protocol"] = str(point.protocol)
-    for result in data["results"]:
-        result["protocol"] = str(result["protocol"])
+    data["results"] = [_result_to_json(result) for result in point.results]
     return data
 
 

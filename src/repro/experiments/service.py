@@ -59,6 +59,7 @@ from .jobstore import (
     JobStore,
     Lease,
     WorkUnit,
+    check_store_settings,
 )
 from .runner import SweepPoint
 
@@ -293,10 +294,14 @@ def run_worker(
     runner = BatchRunner()
     heartbeat_interval = max(0.02, store.lease_timeout / 3.0)
     store.journal("worker-start", worker=worker_id, fault=fault.describe())
+    # The full five-directory dedupe runs once, as the worker starts; before
+    # each later claim, recovery lists only leased/ and failed/.
+    recover = store.recover
     while True:
         if max_units is not None and stats.completed >= max_units:
             break
-        store.recover()
+        recover()
+        recover = store.reclaim
         lease = store.claim(worker_id)
         if lease is None:
             counts = store.counts()
@@ -398,6 +403,10 @@ class ServiceConfig:
     max_attempts: int = 3
     stall_timeout: float = 300.0
     speculate_after: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # Bad lease settings fail here, at the CLI's entry, not mid-campaign.
+        check_store_settings(self.lease_timeout, self.max_attempts)
 
     def job_store(self) -> JobStore:
         if isinstance(self.store, JobStore):
@@ -532,6 +541,7 @@ class CampaignService:
         """
         fault = self.fault_plan
         deaths = 0
+        validated: set = set()
         while not self.store.finished():
             summary.workers = max(summary.workers, 1)
             worker_id = f"inline-{uuid.uuid4().hex[:6]}"
@@ -554,7 +564,6 @@ class CampaignService:
                         f"limit ({self.respawn_limit}) allows"
                     )
             fault = None  # replacements run fault-free
-            validated: set = set()
             self._validate_new_results(validated)
             if not self.store.finished():
                 # Stale leases (earlier run / killed worker) or backoff

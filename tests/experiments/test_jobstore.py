@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.errors import JobStoreError
+from repro.errors import ConfigurationError, JobStoreError
 from repro.experiments.jobstore import (
     DONE,
     FAILED,
@@ -267,3 +269,217 @@ class TestSpeculation:
         store.claim("w1")
         assert store.speculate("a")
         assert not store.speculate("a")  # pending copy already exists
+
+    def test_straggler_that_commits_first_after_recovery_wins(self, store):
+        store.enqueue(_unit("a"))
+        original = store.claim("w1")
+        assert store.speculate("a")
+        # The coordinator's next poll: a live lease beside its pending copy
+        # is a speculation, not a crash leftover, so both copies survive.
+        store.recover()
+        assert store._ticket(LEASED, "a").exists()
+        assert store.complete(original, {"value": 1})
+        assert store.find("a") == DONE
+        # The speculative copy is dropped, not re-run.
+        assert store.claim("w2") is None
+        assert not store._ticket(PENDING, "a").exists()
+        assert store.load_result("a") == {"value": 1}
+        assert len(_events(store, "claim")) == 1
+
+    def test_expired_straggler_yields_to_its_speculative_copy(self, store, clock):
+        store.enqueue(_unit("a"))
+        stale = store.claim("w1")
+        assert store.speculate("a")
+        clock.advance(store.lease_timeout + 1.0)
+        assert store.recover()["expired"] == 0  # the copy already re-dispatches
+        assert not store._ticket(LEASED, "a").exists()
+        fresh = store.claim("w2")
+        assert fresh is not None and fresh.unit.attempts == 0
+        assert not store.complete(stale, {"value": 1})
+        assert store.complete(fresh, {"value": 1})
+
+    def test_dead_straggler_leaves_its_speculative_copy_untouched(self, store):
+        store.enqueue(_unit("a"))
+        store.claim("w1")
+        assert store.speculate("a")
+        assert store.expire_worker("w1") == 1
+        assert store.find("a") == PENDING
+        assert store.unit("a").attempts == 0  # no attempt burned, no backoff
+        assert not store._ticket(LEASED, "a").exists()
+        assert not _events(store, "lease-expired")
+        assert store.claim("w2") is not None
+
+
+class TestClaimSnapshot:
+    def test_unit_from_another_handle_is_claimed_once_the_snapshot_runs_dry(
+        self, tmp_path, clock
+    ):
+        first = JobStore(tmp_path / "s", clock=clock)
+        second = JobStore(tmp_path / "s", clock=clock)
+        first.enqueue(_unit("b"))
+        first.enqueue(_unit("c"))
+        assert first.claim("w1").unit.unit_id == "b"  # snapshot now holds c
+        second.enqueue(_unit("a"))  # sorts first, but after the listing
+        assert first.claim("w1").unit.unit_id == "c"
+        assert first.claim("w1").unit.unit_id == "a"  # re-listed when dry
+        assert first.claim("w1") is None
+
+    def test_candidate_taken_by_another_handle_is_skipped(self, tmp_path, clock):
+        first = JobStore(tmp_path / "s", clock=clock)
+        second = JobStore(tmp_path / "s", clock=clock)
+        for unit_id in ("a", "b", "c"):
+            first.enqueue(_unit(unit_id))
+        assert first.claim("w1").unit.unit_id == "a"
+        assert second.claim("w2").unit.unit_id == "b"
+        assert first.claim("w1").unit.unit_id == "c"
+        assert first.claim("w1") is None and second.claim("w2") is None
+
+    def test_unit_in_backoff_is_skipped_then_claimed_when_due(self, store, clock):
+        store.enqueue(
+            WorkUnit(unit_id="a", kind="test", not_before=clock() + 5.0)
+        )
+        store.enqueue(_unit("b"))
+        assert store.claim("w1").unit.unit_id == "b"
+        assert store.claim("w1") is None  # "a" is not due, listed or not
+        clock.advance(5.0 + 0.01)
+        assert store.claim("w1").unit.unit_id == "a"
+
+    def test_pending_duplicate_of_a_done_unit_is_dropped(self, tmp_path, clock):
+        first = JobStore(tmp_path / "s", clock=clock)
+        second = JobStore(tmp_path / "s", clock=clock)
+        first.enqueue(_unit("a"))
+        first.enqueue(_unit("b"))
+        first.complete(first.claim("w1"), {"value": "a"})  # snapshot holds b
+        done = second.claim("w2")
+        assert second.complete(done, {"value": "b"})
+        # A crash leftover: b's ticket is back in pending beside its done copy.
+        first._write_json(first._ticket(PENDING, "b"), done.unit.to_jsonable())
+        assert first.claim("w1") is None
+        assert first.find("b") == DONE
+        assert not first._ticket(PENDING, "b").exists()
+        assert first.load_result("b") == {"value": "b"}
+        assert [e["unit"] for e in _events(first, "claim")] == ["a", "b"]
+
+
+    def test_concurrent_handles_grant_each_unit_exactly_once(self, tmp_path):
+        """More claimant threads than cores, each with its own snapshot."""
+        root = tmp_path / "s"
+        seed = JobStore(root)
+        unit_ids = [f"u{index:03d}" for index in range(120)]
+        for unit_id in unit_ids:
+            seed.enqueue(_unit(unit_id))
+        granted, problems = [], []
+
+        def drain(worker_id):
+            handle = JobStore(root)
+            while True:
+                lease = handle.claim(worker_id)
+                if lease is None:
+                    return
+                granted.append(lease.unit.unit_id)
+                if not handle.complete(lease, {"value": lease.unit.unit_id}):
+                    problems.append(f"{worker_id} fenced on {lease.unit.unit_id}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=drain, args=(f"w{index}",)) for index in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not problems
+        assert sorted(granted) == unit_ids
+        assert seed.finished(unit_ids)
+
+
+class TestPerClaimRecovery:
+    def test_reclaim_lists_only_leased_and_failed(self, store, clock, monkeypatch):
+        store.enqueue(_unit("a"))
+        store.claim("w1")
+        listed = []
+        original = store.ids
+        monkeypatch.setattr(
+            store, "ids", lambda state: listed.append(state) or original(state)
+        )
+        clock.advance(store.lease_timeout + 1.0)
+        assert store.reclaim() == {"expired": 1, "retried": 0}
+        assert listed == [LEASED, FAILED]
+        assert store.find("a") == PENDING
+
+    def test_reclaim_settles_duplicates_of_the_ids_it_touches(self, store):
+        store.enqueue(_unit("a"))
+        store.fail(store.claim("w1"), "boom")
+        # A crash mid-commit of a later attempt left a done copy behind.
+        store._write_json(store._ticket(DONE, "a"), store.unit("a").to_jsonable())
+        store.reclaim()
+        assert store.find("a") == DONE
+        assert not store._ticket(FAILED, "a").exists()
+
+    def test_reclaim_drops_a_dead_leased_copy_beside_pending(self, store, clock):
+        store.enqueue(_unit("a"))
+        store.claim("w1")
+        # A crash in lease expiry: requeued ticket written, source left.
+        store._write_json(store._ticket(PENDING, "a"), store.unit("a").to_jsonable())
+        clock.advance(store.lease_timeout + 1.0)
+        assert store.reclaim()["expired"] == 0
+        assert store.find("a") == PENDING
+        assert not store._ticket(LEASED, "a").exists()
+        assert not store._lease_path("a").exists()
+
+
+class TestJournalOffsets:
+    def test_entries_after_an_offset_are_the_run_scoped_tail(self, store):
+        store.enqueue(_unit("a"))
+        offset = store.journal_offset()
+        assert offset == store.journal_path.stat().st_size
+        store.enqueue(_unit("b"))
+        assert [e["unit"] for e in store.journal_entries(offset)] == ["b"]
+        assert store.journal_entries(store.journal_offset()) == []
+
+    def test_torn_final_line_is_skipped(self, store):
+        store.enqueue(_unit("a"))
+        offset = store.journal_offset()
+        with open(store.journal_path, "ab") as handle:
+            handle.write(b'{"event": "cla')
+        assert store.journal_entries(offset) == []
+        assert [e["event"] for e in store.journal_entries()] == ["enqueue"]
+
+    def test_missing_journal_reads_empty(self, tmp_path):
+        fresh = JobStore(tmp_path / "s")
+        assert fresh.journal_offset() == 0
+        assert fresh.journal_entries() == []
+
+
+class TestSettingsValidation:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"lease_timeout": float("nan")},
+            {"lease_timeout": float("inf")},
+            {"lease_timeout": -1},
+            {"lease_timeout": 0},
+            {"lease_timeout": "30"},
+            {"max_attempts": 0},
+            {"max_attempts": 2.5},
+            {"max_attempts": True},
+            {"backoff_base": -1.0},
+            {"backoff_base": float("nan")},
+            {"backoff_cap": float("inf")},
+        ],
+    )
+    def test_bad_settings_fail_at_construction(self, tmp_path, settings):
+        with pytest.raises(ConfigurationError):
+            JobStore(tmp_path / "s", **settings)
+        assert not (tmp_path / "s").exists()
+
+    def test_edge_settings_are_accepted(self, tmp_path):
+        store = JobStore(
+            tmp_path / "s", lease_timeout=0.01, max_attempts=1, backoff_base=0.0
+        )
+        assert store.max_attempts == 1 and store.backoff_base == 0.0

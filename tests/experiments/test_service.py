@@ -6,10 +6,11 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.experiments.jobstore import DONE, JobStore
 from repro.experiments.parallel import (
     PointSpec,
+    _point_from_json,
     _point_to_json,
     run_sweep,
 )
@@ -211,3 +212,105 @@ class TestSweepIntegration:
         # The store now holds every unit durably.
         store = JobStore(tmp_path / "store")
         assert len(store.ids(DONE)) == len(specs)
+
+
+MICRO = dataclasses.replace(
+    TINY, name="micro", microbenchmark_processors=2, acquires_per_processor=2,
+    bandwidth_points=(1600.0,),
+)
+
+
+def _micro_specs(count):
+    """``count`` distinct one-seed points cycling through all three protocols."""
+    workload = microbenchmark_factory(MICRO)
+    protocols = ("bash", "snooping", "directory")
+    return [
+        PointSpec(
+            scale=dataclasses.replace(MICRO, seeds=(1 + index // 3,)),
+            protocol=protocols[index % 3],
+            bandwidth=1600.0,
+            workload=workload,
+        )
+        for index in range(count)
+    ]
+
+
+class TestStoreWorkPerUnit:
+    def test_inline_drain_lists_a_bounded_number_of_entries(
+        self, tmp_path, monkeypatch
+    ):
+        """Store listings stay O(N) over a drain, not O(N^2)."""
+        specs = _micro_specs(200)
+        listed = [0]
+        original = JobStore.ids
+
+        def counting_ids(self, state):
+            ids = original(self, state)
+            listed[0] += len(ids)
+            return ids
+
+        monkeypatch.setattr(JobStore, "ids", counting_ids)
+        points, summary = run_service_sweep(specs, ServiceConfig(store=tmp_path / "s"))
+        assert summary.done == len(specs)
+        assert listed[0] <= 10 * len(specs), listed[0]
+        monkeypatch.undo()
+        assert _json(points) == _json(run_sweep(specs, workers=1))
+
+    def test_inline_kill_drain_validates_each_result_once(
+        self, tmp_path, serial_points, monkeypatch
+    ):
+        store = JobStore(tmp_path / "store")
+        loads = []
+        original = store.load_result
+        monkeypatch.setattr(
+            store, "load_result", lambda unit_id: loads.append(unit_id) or original(unit_id)
+        )
+        config = ServiceConfig(store=store, fault_plan=FaultPlan(kill_after=2))
+        points, summary = run_service_sweep(_specs(), config)
+        assert _json(points) == _json(serial_points)
+        assert summary.worker_deaths == 1
+        # Once by the coordinator's validation, once to decode the result.
+        assert sorted(loads) == sorted(2 * [unit_for_spec(s).unit_id for s in _specs()])
+
+
+class TestPointCodec:
+    def test_flat_serialisation_equals_the_asdict_form(self):
+        points = run_sweep(_specs(("bash", "snooping", "directory")), workers=1)
+        assert {str(p.protocol) for p in points} == {"bash", "snooping", "directory"}
+        for point in points:
+            expected = dataclasses.asdict(point)
+            expected["protocol"] = str(point.protocol)
+            for result in expected["results"]:
+                result["protocol"] = str(result["protocol"])
+            assert _point_to_json(point) == expected
+            assert _point_from_json(_point_to_json(point)) == point
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "settings",
+        [{"lease_timeout": float("nan")}, {"lease_timeout": -1.0}, {"max_attempts": 0}],
+    )
+    def test_service_config_rejects_bad_store_settings(self, tmp_path, settings):
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(store=tmp_path / "s", **settings)
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "figure1", "--lease-timeout", "nan"],
+            ["serve", "figure1", "--lease-timeout", "-1"],
+            ["serve", "figure1", "--max-attempts", "0"],
+            ["worker", "--lease-timeout", "nan"],
+            ["verify", "--campaign", "quick", "--lease-timeout", "0"],
+        ],
+    )
+    def test_cli_fails_at_entry(self, tmp_path, capsys, argv):
+        from repro.cli import main
+
+        store = str(tmp_path / "s")
+        flag = ["--service-store", store] if argv[0] == "verify" else ["--store", store]
+        assert main(argv + flag) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
