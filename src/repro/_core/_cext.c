@@ -13,8 +13,9 @@
  * list managed as a heap, counters exposed as integer members — because the
  * pure network closures push entries into those containers directly and must
  * keep working unchanged against a compiled scheduler.  Only the hot methods
- * are implemented in C; the cold ones (drain/reset/step/_compact/fire hooks)
- * are reused verbatim from the pure class by the Python subclass built in
+ * are implemented in C, plus the recent-event ring (fixed C arrays in place of
+ * the pure class's deque); the cold ones (drain/reset/step/_compact) are
+ * reused verbatim from the pure class by the Python subclass built in
  * repro/sim/scheduler.py.
  */
 
@@ -24,7 +25,7 @@
 
 #include "_core.h"
 
-#define CORE_VERSION "1.3.0"
+#define CORE_VERSION "1.4.0"
 
 /* Compaction threshold; mirrors _COMPACT_MIN_CANCELLED in scheduler.py. */
 #define COMPACT_MIN_CANCELLED 64
@@ -202,9 +203,14 @@ typedef struct {
     long long compact_watermark;
     PyObject *active_time;       /* int while draining a bucket, else None */
     PyObject *on_fire;           /* callable(time, label) or None */
-    PyObject *fire_hooks;        /* list backing the composed on_fire */
-    PyObject *installed_fire;    /* what the hook machinery last installed */
     PyObject *arena;             /* SimulationArena or None */
+    /* Recent-event ring (record_recent): the last ring_len of ring_cap
+     * fired (time, label) pairs; ring_next is the slot written next. */
+    Py_ssize_t ring_cap;
+    Py_ssize_t ring_len;
+    Py_ssize_t ring_next;
+    long long *ring_times;
+    PyObject **ring_labels;      /* owned references, NULL when unused */
 } SchedulerObject;
 
 static PyTypeObject Scheduler_Type;
@@ -227,15 +233,8 @@ Scheduler_init(SchedulerObject *self, PyObject *args, PyObject *kwds)
         Py_DECREF(buckets);
         return -1;
     }
-    PyObject *hooks = PyList_New(0);
-    if (hooks == NULL) {
-        Py_DECREF(buckets);
-        Py_DECREF(times);
-        return -1;
-    }
     Py_XSETREF(self->buckets, buckets);
     Py_XSETREF(self->times, times);
-    Py_XSETREF(self->fire_hooks, hooks);
     self->now = 0;
     self->sequence = 0;
     self->fired = 0;
@@ -243,7 +242,6 @@ Scheduler_init(SchedulerObject *self, PyObject *args, PyObject *kwds)
     self->compact_watermark = COMPACT_MIN_CANCELLED;
     Py_XSETREF(self->active_time, Py_NewRef(Py_None));
     Py_XSETREF(self->on_fire, Py_NewRef(Py_None));
-    Py_XSETREF(self->installed_fire, Py_NewRef(Py_None));
     Py_XSETREF(self->arena, Py_NewRef(Py_None));
     return 0;
 }
@@ -255,10 +253,48 @@ Scheduler_traverse(SchedulerObject *self, visitproc visit, void *arg)
     Py_VISIT(self->times);
     Py_VISIT(self->active_time);
     Py_VISIT(self->on_fire);
-    Py_VISIT(self->fire_hooks);
-    Py_VISIT(self->installed_fire);
     Py_VISIT(self->arena);
+    for (Py_ssize_t i = 0; i < self->ring_cap; i++)
+        Py_VISIT(self->ring_labels[i]);
     return 0;
+}
+
+/* Install an empty ring of `cap` slots (0 and NULL arrays: none), then drop
+ * the old ring's labels last: a label's finaliser may re-enter
+ * record_recent, so the struct never points at half-released arrays. */
+static void
+ring_swap(SchedulerObject *self, long long *times, PyObject **labels,
+          Py_ssize_t cap)
+{
+    PyObject **old = self->ring_labels;
+    Py_ssize_t old_cap = self->ring_cap;
+    PyMem_Free(self->ring_times);
+    self->ring_times = times;
+    self->ring_labels = labels;
+    self->ring_cap = cap;
+    self->ring_len = self->ring_next = 0;
+    if (old == NULL)
+        return;
+    for (Py_ssize_t i = 0; i < old_cap; i++)
+        Py_XDECREF(old[i]);
+    PyMem_Free(old);
+}
+
+/* Record one fired (time, label) pair; a no-op while the ring is off. */
+static void
+ring_record(SchedulerObject *self, long long time, PyObject *label)
+{
+    Py_ssize_t cap = self->ring_cap;
+    if (cap == 0)
+        return;
+    Py_ssize_t slot = self->ring_next;
+    PyObject *old = self->ring_labels[slot];
+    self->ring_times[slot] = time;
+    self->ring_labels[slot] = Py_NewRef(label);
+    self->ring_next = slot + 1 == cap ? 0 : slot + 1;
+    if (self->ring_len < cap)
+        self->ring_len += 1;
+    Py_XDECREF(old); /* last: may run arbitrary code */
 }
 
 static int
@@ -268,9 +304,8 @@ Scheduler_clear(SchedulerObject *self)
     Py_CLEAR(self->times);
     Py_CLEAR(self->active_time);
     Py_CLEAR(self->on_fire);
-    Py_CLEAR(self->fire_hooks);
-    Py_CLEAR(self->installed_fire);
     Py_CLEAR(self->arena);
+    ring_swap(self, NULL, NULL, 0);
     return 0;
 }
 
@@ -298,10 +333,6 @@ static PyMemberDef Scheduler_members[] = {
      NULL},
     {"on_fire", T_OBJECT_EX, offsetof(SchedulerObject, on_fire), 0,
      "optional per-fired-event hook (time, label) -> None"},
-    {"_fire_hooks", T_OBJECT_EX, offsetof(SchedulerObject, fire_hooks),
-     READONLY, NULL},
-    {"_installed_fire", T_OBJECT_EX, offsetof(SchedulerObject, installed_fire),
-     0, NULL},
     {"arena", T_OBJECT_EX, offsetof(SchedulerObject, arena), 0,
      "optional SimulationArena shared by components on this scheduler"},
     {NULL}
@@ -643,21 +674,16 @@ stop_cell_set(PyObject *stop_flag)
     return truth;
 }
 
-/* The drain loop.  One unified loop covering the pure implementation's fast
- * and generic variants: with the per-entry checks compiled, the fast loop's
- * only remaining advantage (fewer Python-level branches) is moot, and the
- * check *order* below is observably identical to both (the fast loop's
- * single-entry special case skips re-checks that provably cannot differ from
- * the pre-bucket guard's). */
+/* The drain loop.  The check *order* is observably identical to the pure
+ * loop's (whose single-entry special case skips re-checks that provably
+ * cannot differ from the pre-bucket guard's). */
 static PyObject *
 Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"until", "max_events", "stop_when", "stop_flag",
-                             NULL};
-    PyObject *until = Py_None, *max_events = Py_None;
-    PyObject *stop_when = Py_None, *stop_flag = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|OOOO", kwlist, &until,
-                                     &max_events, &stop_when, &stop_flag))
+    static char *kwlist[] = {"until", "max_events", "stop_flag", NULL};
+    PyObject *until = Py_None, *max_events = Py_None, *stop_flag = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|OOO", kwlist, &until,
+                                     &max_events, &stop_flag))
         return NULL;
 
     int have_until = 0;
@@ -679,15 +705,13 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
         have_limit = 1;
         limit = fired_before + budget;
     }
-    if (stop_when == Py_None)
-        stop_when = NULL;
     if (stop_flag == Py_None)
         stop_flag = NULL;
-    /* Cached once like the pure loop: a mid-run on_fire assignment takes
-     * effect at the next run() call. */
+    /* Cached once like the pure loop: a mid-run on_fire assignment (or a
+     * ring first armed mid-run) takes effect at the next run() call. */
     PyObject *on_fire = self->on_fire == Py_None ? NULL : self->on_fire;
+    int observe = on_fire != NULL || self->ring_cap > 0;
     Py_XINCREF(on_fire);
-    Py_XINCREF(stop_when);
     Py_XINCREF(stop_flag);
     PyObject *buckets = self->buckets;
     PyObject *times = self->times;
@@ -738,23 +762,6 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
             stop_now = 1;
         if (!stop_now && stop_flag != NULL) {
             stop_now = stop_cell_set(stop_flag);
-            if (stop_now < 0) {
-                Py_DECREF(bucket);
-                Py_DECREF(time_obj);
-                status = -1;
-                break;
-            }
-        }
-        if (!stop_now && stop_when != NULL) {
-            PyObject *verdict = PyObject_CallNoArgs(stop_when);
-            if (verdict == NULL) {
-                Py_DECREF(bucket);
-                Py_DECREF(time_obj);
-                status = -1;
-                break;
-            }
-            stop_now = PyObject_IsTrue(verdict);
-            Py_DECREF(verdict);
             if (stop_now < 0) {
                 Py_DECREF(bucket);
                 Py_DECREF(time_obj);
@@ -845,26 +852,6 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
                 Py_DECREF(entry);
                 break;
             }
-            if (stop_when != NULL) {
-                PyObject *verdict = PyObject_CallNoArgs(stop_when);
-                if (verdict == NULL) {
-                    Py_DECREF(entry);
-                    failed = 1;
-                    break;
-                }
-                int stop = PyObject_IsTrue(verdict);
-                Py_DECREF(verdict);
-                if (stop < 0) {
-                    Py_DECREF(entry);
-                    failed = 1;
-                    break;
-                }
-                if (stop) {
-                    stopped = 1;
-                    Py_DECREF(entry);
-                    break;
-                }
-            }
             index += 1;
             PyObject *result;
             if (esize == 3) {
@@ -888,23 +875,6 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
                 }
                 Py_DECREF(result);
                 fired += 1;
-                if (on_fire != NULL) {
-                    PyObject *label = PyObject_GetAttr(event, str_label);
-                    if (label == NULL) {
-                        Py_DECREF(entry);
-                        failed = 1;
-                        break;
-                    }
-                    PyObject *hooked = PyObject_CallFunctionObjArgs(
-                        on_fire, time_obj, label, NULL);
-                    Py_DECREF(label);
-                    if (hooked == NULL) {
-                        Py_DECREF(entry);
-                        failed = 1;
-                        break;
-                    }
-                    Py_DECREF(hooked);
-                }
             }
             else {
                 PyObject *callback = PyTuple_GET_ITEM(entry, 2);
@@ -920,16 +890,28 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
                 }
                 Py_DECREF(result);
                 fired += 1;
-                if (on_fire != NULL) {
-                    PyObject *hooked = PyObject_CallFunctionObjArgs(
-                        on_fire, time_obj, PyTuple_GET_ITEM(entry, 3), NULL);
-                    if (hooked == NULL) {
-                        Py_DECREF(entry);
-                        failed = 1;
-                        break;
-                    }
-                    Py_DECREF(hooked);
+            }
+            if (observe) {
+                PyObject *label = esize == 3
+                                      ? PyObject_GetAttr(event, str_label)
+                                      : Py_NewRef(PyTuple_GET_ITEM(entry, 3));
+                if (label == NULL) {
+                    Py_DECREF(entry);
+                    failed = 1;
+                    break;
                 }
+                ring_record(self, time_ll, label);
+                PyObject *hooked =
+                    on_fire == NULL ? Py_NewRef(Py_None)
+                                    : PyObject_CallFunctionObjArgs(
+                                          on_fire, time_obj, label, NULL);
+                Py_DECREF(label);
+                if (hooked == NULL) {
+                    Py_DECREF(entry);
+                    failed = 1;
+                    break;
+                }
+                Py_DECREF(hooked);
             }
             Py_DECREF(entry);
         }
@@ -1008,11 +990,78 @@ Scheduler_run(SchedulerObject *self, PyObject *args, PyObject *kwds)
     Py_DECREF(buckets);
     Py_DECREF(times);
     Py_XDECREF(on_fire);
-    Py_XDECREF(stop_when);
     Py_XDECREF(stop_flag);
     if (status < 0)
         return NULL;
     return PyLong_FromLongLong(fired - fired_before);
+}
+
+/* record_recent(n): keep the last n fired (time, label) pairs; 0 stops and
+ * releases the entries.  (Re-)arming starts an empty ring. */
+static PyObject *
+Scheduler_record_recent(SchedulerObject *self, PyObject *arg)
+{
+    Py_ssize_t n = PyLong_AsSsize_t(arg);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    if (n < 0) {
+        PyErr_Format(PyExc_ValueError, "record_recent needs n >= 0, got %zd",
+                     n);
+        return NULL;
+    }
+    long long *times = NULL;
+    PyObject **labels = NULL;
+    if (n > 0) {
+        times = PyMem_New(long long, n);
+        labels = PyMem_Calloc(n, sizeof(PyObject *));
+        if (times == NULL || labels == NULL) {
+            PyMem_Free(times);
+            PyMem_Free(labels);
+            return PyErr_NoMemory();
+        }
+    }
+    ring_swap(self, times, labels, n);
+    Py_RETURN_NONE;
+}
+
+/* recent() -> [(time, label), ...], oldest first. */
+static PyObject *
+Scheduler_recent(SchedulerObject *self, PyObject *Py_UNUSED(ignored))
+{
+    Py_ssize_t len = self->ring_len;
+    PyObject *pairs = PyList_New(len);
+    if (pairs == NULL)
+        return NULL;
+    Py_ssize_t slot = self->ring_next - len;
+    if (slot < 0)
+        slot += self->ring_cap;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        PyObject *pair = Py_BuildValue("(LO)", self->ring_times[slot],
+                                       self->ring_labels[slot]);
+        if (pair == NULL) {
+            Py_DECREF(pairs);
+            return NULL;
+        }
+        PyList_SET_ITEM(pairs, i, pair);
+        slot = slot + 1 == self->ring_cap ? 0 : slot + 1;
+    }
+    return pairs;
+}
+
+/* _remember(time, label): feed the ring from the shared pure step(). */
+static PyObject *
+Scheduler__remember(SchedulerObject *self, PyObject *const *args,
+                    Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_remember expects (time, label)");
+        return NULL;
+    }
+    long long t = PyLong_AsLongLong(args[0]);
+    if (t == -1 && PyErr_Occurred())
+        return NULL;
+    ring_record(self, t, args[1]);
+    Py_RETURN_NONE;
 }
 
 static PyMethodDef Scheduler_methods[] = {
@@ -1041,6 +1090,12 @@ static PyMethodDef Scheduler_methods[] = {
     {"run", (PyCFunction)(void (*)(void))Scheduler_run,
      METH_VARARGS | METH_KEYWORDS,
      "Run events until the queue drains or a stop condition is met."},
+    {"record_recent", (PyCFunction)Scheduler_record_recent, METH_O,
+     "Keep the last n fired (time, label) pairs; 0 stops."},
+    {"recent", (PyCFunction)Scheduler_recent, METH_NOARGS,
+     "The recorded (time, label) pairs, oldest first."},
+    {"_remember", (PyCFunction)(void (*)(void))Scheduler__remember,
+     METH_FASTCALL, "Record one fired (time, label) pair in the ring."},
     {NULL}
 };
 

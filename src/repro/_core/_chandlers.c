@@ -795,7 +795,9 @@ static PyTypeObject DataDeliver_Type = {
  *
  * One compiled ordered-network delivery entry for GETS or GETM on a
  * Snooping or BASH node: the fused snoop-and-home path.  Replaces the
- * pure `snoop_and_home` closure from SnoopingCacheController.
+ * generic entry Node._compile_ordered builds otherwise: the cache
+ * controller's `_snoop_request`, then the home memory's ordered handler
+ * when the node is the block's home.
  *
  *   requester's own delivery -> stale check, retry bookkeeping, marker
  *     recording and the upgrade-at-marker completion, in C (completion

@@ -33,6 +33,7 @@ so compiled closures holding references stay valid across system resets.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional
 
@@ -64,8 +65,7 @@ class Scheduler:
         "_compact_watermark",
         "_active_time",
         "on_fire",
-        "_fire_hooks",
-        "_installed_fire",
+        "_recent",
         "arena",
     )
 
@@ -90,18 +90,9 @@ class Scheduler:
         self._active_time: Optional[int] = None
         #: Optional per-fired-event hook ``(time, label) -> None`` used by the
         #: golden-trace tests and ad-hoc tracing; ``None`` costs one branch.
-        #: Multiple observers (e.g. a golden-trace recorder plus a
-        #: verification event ring buffer) subscribe through
-        #: :meth:`add_fire_hook`, which composes them into this one callable.
         self.on_fire: Optional[Callable[[int, str], None]] = None
-        #: Subscribed fire hooks backing the composed ``on_fire`` callable.
-        #: Empty while ``on_fire`` was assigned directly (the legacy single
-        #: -observer surface, still used by the golden-trace tests).
-        self._fire_hooks: List[Callable[[int, str], None]] = []
-        #: What the hook machinery last installed into ``on_fire``; a
-        #: mismatch at the next add/remove means the caller assigned
-        #: ``on_fire`` directly in between, and that assignment wins.
-        self._installed_fire: Optional[Callable[[int, str], None]] = None
+        #: The recent-event ring armed by :meth:`record_recent`, or ``None``.
+        self._recent: Optional[deque] = None
         #: Optional :class:`repro.sim.arena.SimulationArena` shared by every
         #: component built on this scheduler.  Controllers and networks consult
         #: it once at construction to prebind their pooled allocation/release
@@ -120,60 +111,27 @@ class Scheduler:
         """Number of events executed so far."""
         return self._fired
 
-    # -------------------------------------------------------------- fire hooks
+    # ------------------------------------------------------ recent-event ring
 
-    def add_fire_hook(self, hook: Callable[[int, str], None]) -> None:
-        """Subscribe ``hook(time, label)`` to every fired event.
+    def record_recent(self, n: int) -> None:
+        """Keep the last ``n`` fired ``(time, label)`` pairs; ``0`` stops.
 
-        Hooks compose: any number of observers may subscribe and each sees
-        every event, in subscription order.  Assigning ``on_fire`` directly
-        (the legacy single-observer surface) stays authoritative: whatever
-        was assigned since the last add/remove replaces the whole observer
-        set and is adopted as the sole base subscriber.  Hooks survive
-        :meth:`reset` like ``on_fire`` does — they belong to the harness
-        around the scheduler, not to one run.
+        (Re-)arming starts an empty ring.  Like ``on_fire``, the ring is
+        installed by the harness around the scheduler and survives
+        :meth:`reset`; a ring first armed by a callback inside :meth:`run`
+        starts recording at the next call.
         """
-        self._sync_external_assignment()
-        self._fire_hooks.append(hook)
-        self._rebind_fire_hooks()
+        if n < 0:
+            raise ValueError(f"record_recent needs n >= 0, got {n}")
+        self._recent = deque(maxlen=n) if n else None
 
-    def remove_fire_hook(self, hook: Callable[[int, str], None]) -> None:
-        """Unsubscribe a hook added with :meth:`add_fire_hook` (idempotent)."""
-        self._sync_external_assignment()
-        try:
-            self._fire_hooks.remove(hook)
-        except ValueError:
-            return
-        self._rebind_fire_hooks()
+    def recent(self) -> List[tuple]:
+        """The recorded ``(time, label)`` pairs, oldest first."""
+        return [] if self._recent is None else list(self._recent)
 
-    def _sync_external_assignment(self) -> None:
-        """Adopt a direct ``on_fire`` assignment made since the last rebind.
-
-        The legacy surface wins: a caller that assigned (or cleared)
-        ``on_fire`` directly replaced the observer set, so the hook list is
-        rebuilt from the current value rather than resurrecting stale
-        subscribers.
-        """
-        if self.on_fire is not self._installed_fire:
-            self._fire_hooks.clear()
-            if self.on_fire is not None:
-                self._fire_hooks.append(self.on_fire)
-
-    def _rebind_fire_hooks(self) -> None:
-        hooks = self._fire_hooks
-        if not hooks:
-            self.on_fire = None
-        elif len(hooks) == 1:
-            self.on_fire = hooks[0]
-        else:
-            chain = tuple(hooks)
-
-            def _fan_out(time: int, label: str) -> None:
-                for fire_hook in chain:
-                    fire_hook(time, label)
-
-            self.on_fire = _fan_out
-        self._installed_fire = self.on_fire
+    def _remember(self, time: int, label: str) -> None:
+        if self._recent is not None:
+            self._recent.append((time, label))
 
     # -------------------------------------------------------------- scheduling
 
@@ -381,6 +339,7 @@ class Scheduler:
                 finally:
                     self._active_time = None
                 self._fired += 1
+                self._remember(time, entry[3])
                 if self.on_fire is not None:
                     self.on_fire(time, entry[3])
                 return Event(time, entry[1], callback, entry[3])
@@ -396,8 +355,9 @@ class Scheduler:
             finally:
                 self._active_time = None
             self._fired += 1
+            self._remember(time, event.label)
             if self.on_fire is not None:
-                self.on_fire(event.time, event.label)
+                self.on_fire(time, event.label)
             return event
         return None
 
@@ -405,24 +365,22 @@ class Scheduler:
         self,
         until: Optional[int] = None,
         max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
         stop_flag: Optional[List[bool]] = None,
     ) -> int:
         """Run events until the queue drains or a stop condition is met.
 
-        ``stop_when`` is a predicate called between events; ``stop_flag`` is a
-        cheaper alternative for drivers that *know* when they are done: a
-        one-element list whose slot 0 an event callback flips to True.
-        Checking it costs a C-level subscript per event instead of a Python
-        call.  Returns the number of events fired by this call.
+        ``stop_flag`` is for drivers that *know* when they are done: a
+        one-element list whose slot 0 an event callback flips to True; the
+        run stops before the next event, with ``now`` left at the last fired
+        time.  Checking it costs a C-level subscript per event.  Returns the
+        number of events fired by this call.
 
-        Two loops share the semantics: a specialised one for the driver
-        configuration every multiprocessor run uses (stop cell, no predicate,
-        no trace hook) whose per-event work is a subscript, two bound checks
-        and the callback — the clock advances once per *bucket* — and a
-        generic one carrying ``stop_when``/``on_fire`` support.  Events at
-        one timestamp fire in scheduling order (the bucket is FIFO), exactly
-        as the previous ``(time, sequence)`` heap ordered them.
+        The per-event work is a subscript, two bound checks and the
+        callback; the clock advances once per *bucket*.  The observers
+        (``on_fire`` and the :meth:`record_recent` ring) cost one branch per
+        event while neither is installed.  Events at one timestamp fire in
+        scheduling order (the bucket is FIFO), exactly as the previous
+        ``(time, sequence)`` heap ordered them.
         """
         buckets = self._buckets
         times = self._times
@@ -431,20 +389,21 @@ class Scheduler:
         # float('inf') compares against ints in C.
         until_bound = _NO_BOUND if until is None else until
         limit = _NO_BOUND if max_events is None else fired_before + max_events
+        if stop_flag is None:
+            stop_flag = [False]
         on_fire = self.on_fire
-        fast = stop_when is None and on_fire is None and stop_flag is not None
+        observe = on_fire is not None or self._recent is not None
         try:
             while times:
                 time = _heappop(times)
                 bucket = buckets.get(time)
                 if bucket is None:
                     continue  # stale timestamp (bucket compacted/exhausted)
-                # Mark the bucket active *before* any user code can run: the
-                # stop_when predicate below may cancel events, and a
-                # cancellation-triggered compaction must not collect the
-                # bucket this loop is holding a live alias to (it would
-                # double-decrement the cancel accounting when the alias is
-                # drained).
+                # Mark the bucket active *before* any user code can run: a
+                # fired callback may cancel events, and a cancellation-
+                # triggered compaction must not collect the bucket this loop
+                # is holding a live alias to (it would double-decrement the
+                # cancel accounting when the alias is drained).
                 self._active_time = time
                 if time > until_bound:
                     _heappush(times, time)
@@ -452,26 +411,22 @@ class Scheduler:
                     break
                 # Stop *before* advancing the clock into a bucket no event of
                 # which will fire: `now` must remain the last fired time when
-                # a stop cell, predicate or event budget ends the run.
-                if (
-                    fired >= limit
-                    or (stop_flag is not None and stop_flag[0])
-                    or (stop_when is not None and stop_when())
-                ):
+                # a stop cell or event budget ends the run.
+                if fired >= limit or stop_flag[0]:
                     _heappush(times, time)
                     break
                 self.now = time
                 index = 0
                 stopped = False
                 try:
-                    if fast:
-                        # Single fast-entry bucket: the guard above already proved
-                        # the stop cell clear and the budget open, so the one
-                        # event fires with no further checks.  Directory-protocol
-                        # traffic is mostly unicast (one event per cycle), making
-                        # this the common case there.
+                    if len(bucket) == 1 and not observe:
+                        # Single fast-entry bucket: the guard above already
+                        # proved the stop cell clear and the budget open, so
+                        # the one event fires with no further checks.
+                        # Directory-protocol traffic is mostly unicast (one
+                        # event per cycle), making this the common case there.
                         entry = bucket[0]
-                        if len(bucket) == 1 and len(entry) != 3:
+                        if len(entry) != 3:
                             # Consumed before firing: a raising callback must
                             # not leave its own entry queued for re-delivery.
                             index = 1
@@ -486,86 +441,50 @@ class Scheduler:
                             if not bucket:
                                 # A mid-callback drain() emptied the queue.
                                 continue
-                            # The callback scheduled into this same cycle: fall
-                            # through and drain the rest with full checks.
-                        # `length` caches len(bucket); the walrus re-check picks up
-                        # entries appended by fired callbacks (same-cycle
-                        # scheduling) without a len() call per event.
-                        length = len(bucket)
-                        while index < length or index < (length := len(bucket)):
-                            if stop_flag[0]:
-                                stopped = True
-                                break
-                            try:
-                                entry = bucket[index]
-                            except IndexError:
-                                # A mid-callback drain() emptied the bucket while
-                                # `length` was still caching its old size (zero
-                                # cost when not raised on 3.11+).
-                                break
-                            if len(entry) == 3:
-                                event = entry[2]
-                                if event.cancelled:
-                                    event._scheduler = None
-                                    self._cancelled -= 1
-                                    index += 1
-                                    continue
-                                if fired >= limit:
-                                    stopped = True
-                                    break
-                                index += 1
+                            # The callback scheduled into this same cycle:
+                            # fall through and drain the rest with full checks.
+                    # `length` caches len(bucket); the walrus re-check picks up
+                    # entries appended by fired callbacks (same-cycle
+                    # scheduling) without a len() call per event.
+                    length = len(bucket)
+                    while index < length or index < (length := len(bucket)):
+                        if stop_flag[0]:
+                            stopped = True
+                            break
+                        try:
+                            entry = bucket[index]
+                        except IndexError:
+                            # A mid-callback drain() emptied the bucket while
+                            # `length` was still caching its old size (zero
+                            # cost when not raised on 3.11+).
+                            break
+                        size = len(entry)
+                        if size == 3:
+                            event = entry[2]
+                            if event.cancelled:
                                 event._scheduler = None
-                                event.callback()
-                                fired += 1
-                            else:
-                                if fired >= limit:
-                                    stopped = True
-                                    break
+                                self._cancelled -= 1
                                 index += 1
-                                if len(entry) == 5:
-                                    entry[2](entry[4])
-                                else:
-                                    entry[2]()
-                                fired += 1
-                    else:
-                        length = len(bucket)
-                        while index < length or index < (length := len(bucket)):
-                            if stop_flag is not None and stop_flag[0]:
-                                stopped = True
-                                break
-                            try:
-                                entry = bucket[index]
-                            except IndexError:
-                                break  # mid-callback drain(); see the fast loop
-                            size = len(entry)
-                            if size == 3:
-                                event = entry[2]
-                                if event.cancelled:
-                                    event._scheduler = None
-                                    self._cancelled -= 1
-                                    index += 1
-                                    continue
-                            if fired >= limit or (
-                                stop_when is not None and stop_when()
-                            ):
-                                stopped = True
-                                break
-                            index += 1
-                            if size == 3:
-                                event = entry[2]
-                                event._scheduler = None
-                                event.callback()
-                                fired += 1
-                                if on_fire is not None:
-                                    on_fire(time, event.label)
-                            else:
-                                if size == 5:
-                                    entry[2](entry[4])
-                                else:
-                                    entry[2]()
-                                fired += 1
-                                if on_fire is not None:
-                                    on_fire(time, entry[3])
+                                continue
+                        if fired >= limit:
+                            stopped = True
+                            break
+                        index += 1
+                        if size == 3:
+                            event._scheduler = None
+                            event.callback()
+                        elif size == 5:
+                            entry[2](entry[4])
+                        else:
+                            entry[2]()
+                        fired += 1
+                        if observe:
+                            label = event.label if size == 3 else entry[3]
+                            recent = self._recent
+                            if recent is not None:
+                                recent.append((time, label))
+                            if on_fire is not None:
+                                on_fire(time, label)
                 except BaseException:
                     # The old heap loop popped each entry before firing,
                     # so a raising callback was exception-safe by
@@ -635,8 +554,9 @@ class Scheduler:
 #
 # The compiled backend (repro._core._cext) implements only the scheduler's
 # hot methods in C, against the *same* observable data layout (`_buckets`
-# dict of tuple-entry lists, `_times` heap, integer counters).  Everything
-# cold — drain/reset/step/compaction/fire hooks — is the pure implementation
+# dict of tuple-entry lists, `_times` heap, integer counters) plus the
+# recent-event ring in C arrays.  Everything cold — drain/reset/step/
+# compaction — is the pure implementation
 # above, reused verbatim as class attributes of a thin Python subclass.  The
 # pure class therefore stays the executable specification: any behavioural
 # divergence between backends is a bug in the extension.
@@ -668,10 +588,6 @@ def _build_compiled_scheduler() -> type:
         # every attribute they touch exists on the C base as a member).
         pending = Scheduler.pending
         fired = Scheduler.fired
-        add_fire_hook = Scheduler.add_fire_hook
-        remove_fire_hook = Scheduler.remove_fire_hook
-        _sync_external_assignment = Scheduler._sync_external_assignment
-        _rebind_fire_hooks = Scheduler._rebind_fire_hooks
         _compact = Scheduler._compact
         step = Scheduler.step
         drain = Scheduler.drain

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import List, Optional
 
 from ..common.stats import StatsRegistry
 from ..errors import SimulationError
@@ -29,14 +29,13 @@ class Simulator:
         self,
         until: Optional[int] = None,
         max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-        stop_flag=None,
+        stop_flag: Optional[List[bool]] = None,
     ) -> int:
         """Run the simulation; see :meth:`Scheduler.run` for the stop rules."""
         if self._finished:
             raise SimulationError("simulator has already been finished")
         return self.scheduler.run(
-            until=until, max_events=max_events, stop_when=stop_when, stop_flag=stop_flag
+            until=until, max_events=max_events, stop_flag=stop_flag
         )
 
     def run_until_quiescent(self, max_events: int = 10_000_000) -> int:

@@ -43,7 +43,6 @@ at every transaction completion and a deadlock/livelock watchdog that turns
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -428,8 +427,13 @@ class TraceReplayer:
             for slot, (index, _op) in enumerate(stream):
                 self._op_slot[index] = (node, slot)
         self.checker = ConsistencyChecker()
+        #: The run's stop cell, flipped at each transition that ends a
+        #: replay: completion, a watchdog failure, a mid-run violation.
+        self._stop = [False]
         self.monitor = (
-            InvariantMonitor(system) if replay.midrun_invariants else None
+            InvariantMonitor(system, stop_flag=self._stop)
+            if replay.midrun_invariants
+            else None
         )
         self.completed = 0
         self.hits = 0
@@ -442,16 +446,9 @@ class TraceReplayer:
         self.watchdog_failure: Optional[Dict] = None
         self._watchdog_active = False
         self._watchdog_last = -1
-        self._recent_events: deque = deque(maxlen=replay.recent_events)
-        self._done = [False]
         scheduler = system.simulator.scheduler
         self._schedule_after = scheduler.schedule_after_fast1
         self._now = lambda: scheduler.now
-
-    # -------------------------------------------------------------- event hook
-
-    def _record_event(self, time: int, label: str) -> None:
-        self._recent_events.append((time, label))
 
     # ------------------------------------------------------------------ pumping
 
@@ -610,16 +607,17 @@ class TraceReplayer:
         if self.monitor is not None:
             self.monitor.check_address(self._address(op.block))
         if self.completed >= len(self.trace.ops):
-            self._done[0] = True
+            self._stop[0] = True
         self._pump_all()
 
     # ----------------------------------------------------------------- watchdog
 
     def _watchdog(self, _arg) -> None:
-        if not self._watchdog_active or self._done[0]:
+        if not self._watchdog_active or self._stop[0]:
             return
         if self.completed == self._watchdog_last:
             self.watchdog_failure = self._failure_dump()
+            self._stop[0] = True
             return
         self._watchdog_last = self.completed
         self._schedule_after(
@@ -641,7 +639,7 @@ class TraceReplayer:
                     )
                     for node in range(self.trace.num_processors)
                 },
-                "recent_events": list(self._recent_events),
+                "recent_events": self.system.simulator.scheduler.recent(),
             },
         )
 
@@ -652,7 +650,7 @@ class TraceReplayer:
         replay = self.replay
         simulator = self.system.simulator
         scheduler = simulator.scheduler
-        scheduler.add_fire_hook(self._record_event)
+        scheduler.record_recent(replay.recent_events)
         monitor = self.monitor
         try:
             self._watchdog_active = True
@@ -660,24 +658,14 @@ class TraceReplayer:
                 replay.watchdog_interval, self._watchdog, None, "replayer-watchdog"
             )
             self._pump_all()
-            done = self._done
-            if monitor is not None:
-                violations = monitor.violations
-                stop = lambda: (
-                    done[0]
-                    or self.watchdog_failure is not None
-                    or bool(violations)
-                )
-            else:
-                stop = lambda: done[0] or self.watchdog_failure is not None
-            simulator.run(until=replay.max_cycles, stop_when=stop)
+            simulator.run(until=replay.max_cycles, stop_flag=self._stop)
             self._watchdog_active = False
             # Let in-flight messages (stale data, markers) drain so the final
             # sweep sees a quiescent machine.
             simulator.run(until=simulator.now + replay.drain_cycles)
         finally:
             self._watchdog_active = False
-            scheduler.remove_fire_hook(self._record_event)
+            scheduler.record_recent(0)
         counters = self.system.stats.counters()
         addresses = [self._address(b) for b in range(self.trace.num_blocks)]
         image = self.system.final_memory_image(addresses)

@@ -233,8 +233,9 @@ class InvariantMonitor:
     see the module docstring), a settled-check hit is held as a candidate
     and re-checked after ``confirm_cycles``; only a violation that persists
     across an otherwise-idle window is recorded.  Violations accumulate in
-    :attr:`violations` with the cycle at which they were confirmed; drivers
-    poll :attr:`tripped` to fail fast.
+    :attr:`violations` with the cycle at which they were confirmed; a driver
+    that passes its run's ``stop_flag`` cell fails fast, since the monitor
+    flips the cell with each recorded violation.
     """
 
     def __init__(
@@ -242,10 +243,12 @@ class InvariantMonitor:
         system: MultiprocessorSystem,
         max_violations: int = 25,
         confirm_cycles: int = 2_000,
+        stop_flag: Optional[List[bool]] = None,
     ) -> None:
         self.system = system
         self.max_violations = max_violations
         self.confirm_cycles = confirm_cycles
+        self._stop_flag = stop_flag
         self.violations: List[str] = []
         self.checks_run = 0
         self.settled_checks_run = 0
@@ -288,6 +291,8 @@ class InvariantMonitor:
 
     def _record(self, violation: str) -> None:
         self.violations.append(f"cycle {self._scheduler.now}: {violation}")
+        if self._stop_flag is not None:
+            self._stop_flag[0] = True
 
     def _in_flight(self, address: int) -> bool:
         for node in self.system.nodes:

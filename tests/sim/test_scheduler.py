@@ -1,9 +1,12 @@
 """Discrete-event scheduler."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, active_scheduler_class
 from repro.sim.simulator import Simulator
 
 
@@ -247,126 +250,189 @@ class TestScheduler:
         assert scheduler.run(max_events=3) == 3
         assert scheduler.fired == 3
 
-    def test_mass_cancel_from_stop_when_keeps_accounting_exact(self):
-        # A stop_when predicate that cancels events can trigger compaction
-        # while run() holds an alias to the bucket it is about to drain;
-        # the accounting must not double-count those cancellations.
-        scheduler = Scheduler()
-        current = [scheduler.schedule_at(5, lambda: None) for _ in range(10)]
-        later = [scheduler.schedule_at(100 + i, lambda: None) for i in range(70)]
-        cancelled = []
+    def test_mass_cancel_from_a_firing_callback_keeps_accounting_exact(
+        self, backend
+    ):
+        # A callback that cancels events can trigger compaction while run()
+        # holds an alias to the bucket it is draining; compaction must skip
+        # that bucket, and the accounting must not double-count the
+        # cancellations surfacing in it.
+        scheduler = active_scheduler_class()()
+        seen = []
 
         def cancel_everything():
-            if not cancelled:
-                for event in current + later:
-                    event.cancel()
-                cancelled.append(True)
-            return False
+            for event in current + later:
+                event.cancel()
+            seen.append(
+                (
+                    len(scheduler._buckets[5]),
+                    sum(len(bucket) for bucket in scheduler._buckets.values()),
+                )
+            )
 
-        scheduler.run(stop_when=cancel_everything)
+        current = [scheduler.schedule_at(5, cancel_everything)]
+        current += [scheduler.schedule_at(5, lambda: None) for _ in range(9)]
+        later = [scheduler.schedule_at(100 + i, lambda: None) for i in range(70)]
+        scheduler.run()
+        active, queued = seen[0]
+        assert active == 10  # the active bucket was not compacted
+        assert queued < 80  # ... but the idle ones were
         assert scheduler.pending == 0
         assert scheduler._cancelled == 0
-        assert scheduler.fired == 0
+        assert scheduler.fired == 1
 
-    def test_stop_when_predicate(self):
-        scheduler = Scheduler()
+    def test_stop_flag_flipped_by_a_firing_callback(self, backend):
+        scheduler = active_scheduler_class()()
         seen = []
+        stop = [False]
+
+        def note(i):
+            seen.append(i)
+            if i == 3:
+                stop[0] = True
+
         for i in range(10):
-            scheduler.schedule_at(i, lambda i=i: seen.append(i))
-        scheduler.run(stop_when=lambda: len(seen) >= 4)
-        assert len(seen) == 4
+            scheduler.schedule_at_fast1(i, note, i)
+        scheduler.schedule_at(3, lambda: seen.append("same-cycle"))
+        assert scheduler.run(stop_flag=stop) == 4
+        # Stopped before the next event, same-cycle ones included; the clock
+        # stays at the last fired time.
+        assert seen == [0, 1, 2, 3]
+        assert scheduler.now == 3
+        assert scheduler.pending == 7
+        stop[0] = False
+        assert scheduler.run(stop_flag=stop) == 7
+        assert seen == [0, 1, 2, 3, "same-cycle", 4, 5, 6, 7, 8, 9]
 
 
-class TestFireHooks:
-    def test_multiple_hooks_each_see_every_event(self):
-        scheduler = Scheduler()
-        first, second = [], []
-        scheduler.add_fire_hook(lambda t, label: first.append((t, label)))
-        scheduler.add_fire_hook(lambda t, label: second.append((t, label)))
-        scheduler.schedule_at_fast(5, lambda: None, "a")
-        scheduler.schedule_at_fast(9, lambda: None, "b")
+def _labels(count, tag):
+    # Built at run time, so each label is a fresh (non-interned) object whose
+    # reference count only this test and the scheduler touch.
+    return ["".join(("ring-", tag, "-", str(i))) for i in range(count)]
+
+
+class TestRecentRing:
+    def test_ring_wraps_at_n_oldest_first(self, backend):
+        scheduler = active_scheduler_class()()
+        scheduler.record_recent(3)
+        for time, label in enumerate("abcde", start=1):
+            scheduler.schedule_at_fast(time, lambda: None, label)
         scheduler.run()
-        assert first == [(5, "a"), (9, "b")]
-        assert second == first
+        assert scheduler.recent() == [(3, "c"), (4, "d"), (5, "e")]
 
-    def test_remove_fire_hook_stops_delivery(self):
-        scheduler = Scheduler()
-        seen = []
-        hook = lambda t, label: seen.append(label)
-        scheduler.add_fire_hook(hook)
-        scheduler.schedule_at_fast(1, lambda: None, "x")
+    def test_partial_ring_is_oldest_first(self, backend):
+        scheduler = active_scheduler_class()()
+        scheduler.record_recent(10)
+        scheduler.schedule_at_fast(7, lambda: None, "late")
+        scheduler.schedule_at_fast(2, lambda: None, "early")
+        scheduler.schedule_at_fast(2, lambda: None, "early-2")
         scheduler.run()
-        scheduler.remove_fire_hook(hook)
-        assert scheduler.on_fire is None
-        scheduler.schedule_at_fast(2, lambda: None, "y")
+        assert scheduler.recent() == [(2, "early"), (2, "early-2"), (7, "late")]
+
+    def test_zero_turns_the_ring_off(self, backend):
+        scheduler = active_scheduler_class()()
+        assert scheduler.recent() == []
+        scheduler.record_recent(2)
+        scheduler.schedule_at_fast(1, lambda: None, "kept")
         scheduler.run()
-        assert seen == ["x"]
-
-    def test_remove_unknown_hook_is_idempotent(self):
-        scheduler = Scheduler()
-        scheduler.remove_fire_hook(lambda t, label: None)
-        assert scheduler.on_fire is None
-
-    def test_directly_assigned_on_fire_is_adopted_as_first_hook(self):
-        scheduler = Scheduler()
-        order = []
-        scheduler.on_fire = lambda t, label: order.append("legacy")
-        scheduler.add_fire_hook(lambda t, label: order.append("added"))
-        scheduler.schedule_at_fast(3, lambda: None, "e")
+        assert scheduler.recent() == [(1, "kept")]
+        scheduler.record_recent(0)
+        assert scheduler.recent() == []
+        scheduler.schedule_at_fast(2, lambda: None, "dropped")
         scheduler.run()
-        assert order == ["legacy", "added"]
+        assert scheduler.recent() == []
+        with pytest.raises(ValueError):
+            scheduler.record_recent(-1)
 
-    def test_single_hook_binds_without_fan_out_wrapper(self):
-        scheduler = Scheduler()
-        hook = lambda t, label: None
-        scheduler.add_fire_hook(hook)
-        assert scheduler.on_fire is hook
-
-    def test_legacy_direct_assignment_can_be_removed(self):
-        scheduler = Scheduler()
-        hook = lambda t, label: None
-        scheduler.on_fire = hook
-        scheduler.remove_fire_hook(hook)
-        assert scheduler.on_fire is None
-
-    def test_direct_clear_after_adoption_is_not_resurrected(self):
-        # A tracer assigned directly, adopted by add_fire_hook, then cleared
-        # directly must stay gone when the added hook is removed — the legacy
-        # surface is authoritative.
-        scheduler = Scheduler()
-        seen = []
-        scheduler.on_fire = lambda t, label: seen.append(label)
-        added = lambda t, label: None
-        scheduler.add_fire_hook(added)
-        scheduler.on_fire = None
-        scheduler.remove_fire_hook(added)
-        assert scheduler.on_fire is None
-        scheduler.schedule_at_fast(1, lambda: None, "late")
+    def test_rearming_starts_an_empty_ring_and_survives_reset(self, backend):
+        scheduler = active_scheduler_class()()
+        scheduler.record_recent(4)
+        scheduler.schedule_at_fast(1, lambda: None, "old")
         scheduler.run()
-        assert seen == []
-
-    def test_direct_reassignment_after_adoption_wins(self):
-        scheduler = Scheduler()
-        order = []
-        scheduler.on_fire = lambda t, label: order.append("old")
-        hook = lambda t, label: order.append("hook")
-        scheduler.add_fire_hook(hook)
-        scheduler.on_fire = lambda t, label: order.append("new")
-        scheduler.add_fire_hook(hook)
-        scheduler.schedule_at_fast(1, lambda: None, "e")
-        scheduler.run()
-        assert order == ["new", "hook"]
-
-    def test_hooks_survive_reset(self):
-        scheduler = Scheduler()
-        seen = []
-        scheduler.add_fire_hook(lambda t, label: seen.append(label))
-        scheduler.schedule_at_fast(1, lambda: None, "before")
-        scheduler.run()
+        scheduler.record_recent(4)
+        assert scheduler.recent() == []
         scheduler.reset()
-        scheduler.schedule_at_fast(1, lambda: None, "after")
+        scheduler.schedule_at_fast(1, lambda: None, "new")
         scheduler.run()
-        assert seen == ["before", "after"]
+        assert scheduler.recent() == [(1, "new")]
+
+    def test_event_entries_record_their_label(self, backend):
+        scheduler = active_scheduler_class()()
+        scheduler.record_recent(8)
+        scheduler.schedule_at(4, lambda: None, "event")
+        scheduler.schedule_at(5, lambda: None, "cancelled").cancel()
+        scheduler.schedule_at_fast1(6, lambda arg: None, None, "fast1")
+        scheduler.run()
+        assert scheduler.recent() == [(4, "event"), (6, "fast1")]
+
+    def test_step_feeds_the_ring(self, backend):
+        scheduler = active_scheduler_class()()
+        scheduler.record_recent(8)
+        scheduler.schedule_at_fast(1, lambda: None, "fast")
+        scheduler.schedule_at(2, lambda: None, "event")
+        scheduler.step()
+        scheduler.step()
+        assert scheduler.recent() == [(1, "fast"), (2, "event")]
+
+    def test_ring_and_on_fire_see_the_same_events(self, backend):
+        scheduler = active_scheduler_class()()
+        traced = []
+        scheduler.on_fire = lambda time, label: traced.append((time, label))
+        scheduler.record_recent(3)
+        for time in range(6):
+            scheduler.schedule_at_fast(time, lambda: None, f"t{time}")
+        scheduler.schedule_at(3, lambda: None, "event")
+        scheduler.run()
+        assert len(traced) == 7
+        assert scheduler.recent() == traced[-3:]
+
+    def test_raising_callback_is_not_recorded(self, backend):
+        scheduler = active_scheduler_class()()
+        scheduler.record_recent(4)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        scheduler.schedule_at_fast(1, lambda: None, "fine")
+        scheduler.schedule_at_fast(2, boom, "boom")
+        with pytest.raises(RuntimeError):
+            scheduler.run()
+        assert scheduler.recent() == [(1, "fine")]
+
+    def test_labels_are_released(self, backend):
+        labels = _labels(6, backend)
+        baseline = [sys.getrefcount(label) for label in labels]
+
+        def fill(scheduler):
+            for time, label in enumerate(labels):
+                if time % 2:
+                    scheduler.schedule_at(time + scheduler.now, _noop, label)
+                else:
+                    scheduler.schedule_at_fast(time + scheduler.now, _noop, label)
+            scheduler.run()
+
+        def counts():
+            return [sys.getrefcount(label) for label in labels]
+
+        scheduler = active_scheduler_class()()
+        scheduler.record_recent(4)
+        fill(scheduler)
+        assert counts()[2:] == [count + 1 for count in baseline[2:]]
+        scheduler.record_recent(0)
+        assert counts() == baseline
+        scheduler.record_recent(4)
+        fill(scheduler)
+        scheduler.record_recent(4)  # re-arming releases the old entries
+        assert counts() == baseline
+        fill(scheduler)
+        assert counts() != baseline
+        del scheduler
+        gc.collect()
+        assert counts() == baseline
+
+
+def _noop():
+    pass
 
 
 class TestSimulator:

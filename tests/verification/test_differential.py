@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import _core
 from repro.coherence.state import MOSIState
 from repro.common.config import ProtocolName
 from repro.errors import VerificationError
 from repro.experiments.batch import BatchRunner
 from repro.interconnect.message import MessageType
+from repro.system.multiprocessor import MultiprocessorSystem
 from repro.verification.differential import (
     MemoryTrace,
     RACY,
@@ -18,6 +20,7 @@ from repro.verification.differential import (
     generate_trace,
     run_differential,
 )
+from repro.verification.invariants import InvariantMonitor
 
 
 class TestTraceGeneration:
@@ -227,7 +230,9 @@ class TestBugDetection:
                 break
         assert caught
 
-    def test_watchdog_dumps_structured_failure_on_lost_data(self, monkeypatch):
+    def test_watchdog_dumps_structured_failure_on_lost_data(
+        self, backend, monkeypatch
+    ):
         """Dropping every data response deadlocks the replay; the watchdog
         must convert that into a structured dump instead of a silent hang."""
         from repro.protocols.snooping.cache_controller import (
@@ -251,3 +256,70 @@ class TestBugDetection:
         assert dump["recent_events"]
         assert dump["protocol"] == "snooping"
         assert any("watchdog" in failure for failure in result.failures)
+        # The dump's ring holds the last `recent_events` events fired before
+        # the tripping watchdog event, exactly as an on_fire trace saw them.
+        dump, fired = _lost_data_dump(trace, replay)
+        assert dump["recent_events"] == replay_result.watchdog_failure[
+            "recent_events"
+        ]
+        trip = fired.index((dump["cycle"], "replayer-watchdog"))
+        assert trip >= replay.recent_events
+        assert dump["recent_events"] == fired[trip - replay.recent_events : trip]
+
+    def test_lost_data_dump_is_identical_across_backends(self, monkeypatch):
+        if not _core.compiled_available():
+            pytest.skip("compiled extension not built")
+        from repro.protocols.snooping.cache_controller import (
+            SnoopingCacheController,
+        )
+
+        monkeypatch.setattr(
+            SnoopingCacheController, "_handle_data", lambda self, message: None
+        )
+        trace = generate_trace(0, operations=20, mode=RACY)
+        replay = ReplayConfig(watchdog_interval=5_000, drain_cycles=1_000)
+        dumps = {}
+        for name in (_core.PURE, _core.COMPILED):
+            with _core.use_backend(name):
+                dumps[name], _ = _lost_data_dump(trace, replay)
+        assert len(dumps[_core.PURE]["recent_events"]) == replay.recent_events
+        assert dumps[_core.PURE] == dumps[_core.COMPILED]
+
+    def test_injected_violation_stops_the_replay_at_its_cycle(
+        self, protocol, backend, monkeypatch
+    ):
+        original = InvariantMonitor._settled_check
+
+        def inject_once(monitor, address):
+            if not monitor.violations:
+                monitor._record("injected violation")
+            return original(monitor, address)
+
+        monkeypatch.setattr(InvariantMonitor, "_settled_check", inject_once)
+        trace = generate_trace(3, operations=40)
+        replay = ReplayConfig(drain_cycles=0)
+        system = MultiprocessorSystem(
+            replay.system_config(trace, protocol),
+            empty_trace_workload(trace.num_processors),
+        )
+        result = TraceReplayer(system, trace, replay).run()
+        violations = result.midrun_report.violations
+        assert violations == [f"cycle {result.cycles}: injected violation"]
+        assert result.completed < result.operations
+        assert result.watchdog_failure is None
+
+
+def _lost_data_dump(trace, replay):
+    """Replay ``trace`` on snooping with an ``on_fire`` trace attached;
+    return the watchdog dump and every fired ``(time, label)`` pair."""
+    system = MultiprocessorSystem(
+        replay.system_config(trace, ProtocolName.SNOOPING),
+        empty_trace_workload(trace.num_processors),
+    )
+    fired = []
+    system.simulator.scheduler.on_fire = lambda time, label: fired.append(
+        (time, label)
+    )
+    result = TraceReplayer(system, trace, replay).run()
+    assert result.watchdog_failure is not None
+    return result.watchdog_failure, fired

@@ -6,6 +6,7 @@ from repro.coherence.state import MOSIState
 from repro.common.config import ProtocolName
 from repro.errors import VerificationError
 from repro.experiments.batch import BatchRunner
+from repro.sim.event import Event
 from repro.verification.consistency import ConsistencyChecker
 from repro.verification.invariants import check_invariants
 from repro.verification.random_tester import (
@@ -137,6 +138,47 @@ class TestRandomTester:
         )
         result = tester.run()
         result.raise_on_failure()
+
+    def test_first_run_ends_when_no_live_event_is_queued(
+        self, protocol, backend, monkeypatch
+    ):
+        # The tester's first run has no stop predicate: it ends once no live
+        # event is queued, which only equals "all work done" while nothing
+        # cancels an event (a cancelled-only bucket would still move `now`).
+        cancels = []
+        original_cancel = Event.cancel
+
+        def counting_cancel(event):
+            cancels.append(event.label)
+            original_cancel(event)
+
+        monkeypatch.setattr(Event, "cancel", counting_cancel)
+        max_cycles = 400_000
+        tester = RandomProtocolTester(
+            protocol, num_processors=4, num_blocks=3, operations=60, seed=2
+        )
+        simulator = tester.system.simulator
+        run = simulator.run
+        first = []
+
+        def spy(**kwargs):
+            fired = run(**kwargs)
+            if not first:
+                first.append((simulator.now, simulator.scheduler.pending))
+            return fired
+
+        simulator.run = spy
+        result = tester.run(max_cycles=max_cycles)
+        result.raise_on_failure()
+        now, pending = first[0]
+        if protocol is ProtocolName.BASH:
+            # The sampling tick reschedules itself forever.
+            assert now == max_cycles
+            assert pending > 0
+        else:
+            assert now < max_cycles
+            assert pending == 0
+        assert cancels == []
 
     def test_midrun_monitor_runs_by_default(self, protocol):
         tester = RandomProtocolTester(
